@@ -9,15 +9,16 @@ namespace cgnp {
 
 std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
                                           const CtcConfig& config) {
+  return ClosestTrussCommunity(g, q, config, ComputeTrussDecomposition(g));
+}
+
+std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
+                                          const CtcConfig& config,
+                                          const TrussDecomposition& trusses) {
   CGNP_CHECK_GE(q, 0);  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   CGNP_CHECK_LT(q, g.num_nodes());  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
-  int64_t k = config.k;
-  if (k < 0) {
-    const EdgeList el = BuildEdgeList(g);
-    const std::vector<int64_t> truss = TrussNumbers(g, el);
-    k = MaxTrussOf(g, q, el, truss);
-  }
-  std::vector<NodeId> base = ConnectedKTrussContaining(g, q, k);
+  const int64_t k = config.k < 0 ? MaxTrussOf(g, q, trusses) : config.k;
+  std::vector<NodeId> base = ConnectedKTrussContaining(g, q, k, trusses);
   if (base.size() <= 1) return {q};
 
   // Work on the induced subgraph; local ids index into `global`.

@@ -8,11 +8,18 @@
 // published bulk-delete approximation; the exact diameter computation is
 // replaced by query eccentricity, which the original paper also uses as the
 // optimisation driver.
+//
+// The config-only form computes a fresh truss decomposition of g per call
+// (the batch oracle); the registry adapter passes g.Trusses(), the
+// decomposition cached on the graph, to the overload and gets the same
+// answer. Only the whole-graph steps read the decomposition: the shrink
+// loop re-peels its small pruned subgraphs.
 #ifndef CGNP_CS_CTC_H_
 #define CGNP_CS_CTC_H_
 
 #include <vector>
 
+#include "graph/decomposition.h"
 #include "graph/graph.h"
 
 namespace cgnp {
@@ -26,6 +33,9 @@ struct CtcConfig {
 
 std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
                                           const CtcConfig& config = {});
+std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
+                                          const CtcConfig& config,
+                                          const TrussDecomposition& trusses);
 
 }  // namespace cgnp
 

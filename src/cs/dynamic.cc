@@ -5,7 +5,7 @@
 #include <string>
 #include <unordered_set>
 
-#include "graph/algorithms.h"
+#include "graph/decomposition.h"
 #include "obs/metrics.h"
 
 namespace cgnp {
@@ -31,11 +31,11 @@ std::vector<NodeId> CommonNeighbors(const std::vector<NodeId>& a,
   return out;
 }
 
-std::vector<std::vector<NodeId>> MirrorAdjacency(const GraphView& view) {
-  std::vector<std::vector<NodeId>> adj(
-      static_cast<size_t>(view.num_nodes()));
-  for (NodeId v = 0; v < view.num_nodes(); ++v) {
-    adj[v] = view.NeighborsOf(v);
+std::vector<std::vector<NodeId>> MirrorAdjacency(const Graph& g) {
+  std::vector<std::vector<NodeId>> adj(static_cast<size_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.Neighbors(v);
+    adj[v].assign(nb.begin(), nb.end());
   }
   return adj;
 }
@@ -44,59 +44,10 @@ std::vector<std::vector<NodeId>> MirrorAdjacency(const GraphView& view) {
 
 // --- IncrementalCoreIndex ---------------------------------------------------
 
-IncrementalCoreIndex::IncrementalCoreIndex(const GraphView& view)
-    : adj_(MirrorAdjacency(view)) {
-  RecomputeAll();
-}
-
-void IncrementalCoreIndex::RecomputeAll() {
-  // Batagelj-Zaversnik bucket peeling over the maintained adjacency --
-  // the same O(m) batch algorithm as CoreNumbers(), rerun here only at
-  // construction.
-  const int64_t n = static_cast<int64_t>(adj_.size());
-  core_.assign(n, 0);
-  if (n == 0) return;
-  std::vector<int64_t> deg(n);
-  int64_t maxd = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    deg[v] = static_cast<int64_t>(adj_[v].size());
-    maxd = std::max(maxd, deg[v]);
-  }
-  std::vector<int64_t> bin(maxd + 1, 0);
-  for (NodeId v = 0; v < n; ++v) ++bin[deg[v]];
-  int64_t start = 0;
-  for (int64_t d = 0; d <= maxd; ++d) {
-    const int64_t count = bin[d];
-    bin[d] = start;
-    start += count;
-  }
-  std::vector<int64_t> pos(n), vert(n);
-  for (NodeId v = 0; v < n; ++v) {
-    pos[v] = bin[deg[v]]++;
-    vert[pos[v]] = v;
-  }
-  for (int64_t d = maxd; d >= 1; --d) bin[d] = bin[d - 1];
-  bin[0] = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const NodeId v = vert[i];
-    core_[v] = deg[v];
-    for (const NodeId u : adj_[v]) {
-      if (deg[u] <= deg[v]) continue;
-      // Swap u to the front of its degree bucket, then shrink the bucket.
-      const int64_t du = deg[u];
-      const int64_t pu = pos[u];
-      const int64_t pw = bin[du];
-      const NodeId w = vert[pw];
-      if (u != w) {
-        pos[u] = pw;
-        pos[w] = pu;
-        vert[pu] = w;
-        vert[pw] = u;
-      }
-      ++bin[du];
-      --deg[u];
-    }
-  }
+IncrementalCoreIndex::IncrementalCoreIndex(const Graph& base)
+    : adj_(MirrorAdjacency(base)) {
+  const std::vector<int32_t>& core = base.Cores().core;
+  core_.assign(core.begin(), core.end());
 }
 
 void IncrementalCoreIndex::OnInsert(NodeId u, NodeId v) {
@@ -218,28 +169,16 @@ std::pair<NodeId, NodeId> IncrementalTrussIndex::KeyEdge(uint64_t key) {
           static_cast<NodeId>(key & 0xFFFFFFFFu)};
 }
 
-IncrementalTrussIndex::IncrementalTrussIndex(const GraphView& view)
-    : adj_(MirrorAdjacency(view)) {
-  RecomputeAll();
-}
-
-void IncrementalTrussIndex::RecomputeAll() {
-  truss_.clear();
-  // Reuse the proven batch peeling: materialise a Graph from the
-  // maintained adjacency and run TrussNumbers on it.
-  const int64_t n = static_cast<int64_t>(adj_.size());
-  GraphBuilder b(n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId u : adj_[v]) {
-      if (u > v) b.AddEdge(v, u);
+IncrementalTrussIndex::IncrementalTrussIndex(const Graph& base)
+    : adj_(MirrorAdjacency(base)) {
+  const std::vector<int32_t>& truss = base.Trusses().truss;
+  const auto row_ptr = base.row_ptr();
+  const auto col_idx = base.col_idx();
+  truss_.reserve(static_cast<size_t>(base.num_edges()));
+  for (NodeId u = 0; u < base.num_nodes(); ++u) {
+    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
+      if (col_idx[p] > u) truss_.emplace(EdgeKey(u, col_idx[p]), truss[p]);
     }
-  }
-  const Graph g = b.Build();
-  const EdgeList el = BuildEdgeList(g);
-  const std::vector<int64_t> tn = TrussNumbers(g, el);
-  truss_.reserve(el.edges.size());
-  for (size_t i = 0; i < el.edges.size(); ++i) {
-    truss_[EdgeKey(el.edges[i].first, el.edges[i].second)] = tn[i];
   }
 }
 
@@ -409,8 +348,8 @@ StatusOr<std::shared_ptr<DynamicCommunityIndex>> DynamicCommunityIndex::Create(
 
 DynamicCommunityIndex::DynamicCommunityIndex(std::shared_ptr<const Graph> base)
     : delta_(std::make_unique<GraphDelta>(std::move(base))),
-      core_(*delta_),
-      truss_(*delta_) {}
+      core_(delta_->base()),
+      truss_(delta_->base()) {}
 
 Status DynamicCommunityIndex::InsertEdge(NodeId u, NodeId v) {
   std::unique_lock lock(mu_);

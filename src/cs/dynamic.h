@@ -45,18 +45,19 @@
 #include "common/status.h"
 #include "cs/searcher.h"
 #include "graph/delta.h"
-#include "graph/view.h"
+#include "graph/graph.h"
 
 namespace cgnp {
 
-// Core numbers under maintenance. Owns a sorted adjacency mirror of the
-// view it was built from; OnInsert/OnDelete must be called exactly once
+// Core numbers under maintenance, seeded from the base graph's cached
+// decomposition (Graph::Cores). Owns a sorted adjacency mirror of that
+// graph; OnInsert/OnDelete must be called exactly once
 // per edge actually applied (after the delta accepted it), with endpoints
 // already validated -- the DynamicCommunityIndex facade guarantees both.
 // Not thread-safe on its own.
 class IncrementalCoreIndex {
  public:
-  explicit IncrementalCoreIndex(const GraphView& view);
+  explicit IncrementalCoreIndex(const Graph& base);
 
   void OnInsert(NodeId u, NodeId v);
   void OnDelete(NodeId u, NodeId v);
@@ -67,19 +68,18 @@ class IncrementalCoreIndex {
   const std::vector<std::vector<NodeId>>& adjacency() const { return adj_; }
 
  private:
-  void RecomputeAll();  // Batagelj-Zaversnik bucket peeling
-
   std::vector<std::vector<NodeId>> adj_;
   std::vector<int64_t> core_;
 };
 
-// Truss numbers under maintenance, keyed per undirected edge. Same call
+// Truss numbers under maintenance, keyed per undirected edge and seeded
+// from the base graph's cached decomposition (Graph::Trusses). Same call
 // contract as IncrementalCoreIndex. Node ids must fit in 32 bits (edge
 // keys pack both endpoints into one uint64); DynamicCommunityIndex::Create
 // rejects larger graphs up front.
 class IncrementalTrussIndex {
  public:
-  explicit IncrementalTrussIndex(const GraphView& view);
+  explicit IncrementalTrussIndex(const Graph& base);
 
   void OnInsert(NodeId u, NodeId v);
   void OnDelete(NodeId u, NodeId v);
@@ -91,7 +91,6 @@ class IncrementalTrussIndex {
   static uint64_t EdgeKey(NodeId u, NodeId v);
   static std::pair<NodeId, NodeId> KeyEdge(uint64_t key);
 
-  void RecomputeAll();
   // Largest k in [2, cap] with >= k-2 triangles through (a, b) whose
   // other two edges both carry truss >= k under the current values.
   int64_t SupportedLevel(NodeId a, NodeId b, int64_t cap) const;
@@ -112,9 +111,10 @@ class IncrementalTrussIndex {
 class DynamicCommunityIndex {
  public:
   // `base` must be non-null with node ids fitting 32 bits (edge-key
-  // packing); InvalidArgument otherwise. Batch index construction runs
-  // here, O(m^1.5) for the truss part -- per-edit repair is the point of
-  // everything after.
+  // packing); InvalidArgument otherwise. Both indices start from base's
+  // cached decomposition (graph/decomposition.h), built here if no query
+  // has built it yet -- O(m^1.5) for the truss part; per-edit repair is
+  // the point of everything after.
   static StatusOr<std::shared_ptr<DynamicCommunityIndex>> Create(
       std::shared_ptr<const Graph> base);
 

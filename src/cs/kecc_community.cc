@@ -8,12 +8,17 @@
 
 namespace cgnp {
 
-std::vector<NodeId> SteinerKEcc(const Graph& g, NodeId q, int64_t k) {
+namespace {
+
+// SteinerKEcc with its whole-graph k-core step read from `cores`; the
+// recursion re-peels its own pruned subgraphs.
+std::vector<NodeId> SteinerKEccFrom(const Graph& g, NodeId q, int64_t k,
+                                    const CoreDecomposition& cores) {
   CGNP_CHECK_GE(k, 1);  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   // Start from the connected k-core around q (edge connectivity k implies
   // min degree k, so the k-core is a sound pruning step that shrinks the
   // min-cut recursion).
-  std::vector<NodeId> nodes = ConnectedKCoreContaining(g, q, k);
+  std::vector<NodeId> nodes = ConnectedKCoreContaining(g, q, k, cores);
   if (nodes.size() < 2) return {};
   while (true) {
     std::vector<NodeId> map;
@@ -49,23 +54,35 @@ std::vector<NodeId> SteinerKEcc(const Graph& g, NodeId q, int64_t k) {
   }
 }
 
+}  // namespace
+
+std::vector<NodeId> SteinerKEcc(const Graph& g, NodeId q, int64_t k) {
+  return SteinerKEccFrom(g, q, k, ComputeCoreDecomposition(g));
+}
+
 std::vector<NodeId> KEccCommunity(const Graph& g, NodeId q,
                                   const KEccConfig& config) {
+  return KEccCommunity(g, q, config, ComputeCoreDecomposition(g));
+}
+
+std::vector<NodeId> KEccCommunity(const Graph& g, NodeId q,
+                                  const KEccConfig& config,
+                                  const CoreDecomposition& cores) {
   CGNP_CHECK_GE(q, 0);  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   CGNP_CHECK_LT(q, g.num_nodes());  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   if (config.k > 0) {
-    auto result = SteinerKEcc(g, q, config.k);
+    auto result = SteinerKEccFrom(g, q, config.k, cores);
     if (result.empty()) result.push_back(q);
     return result;
   }
   // Maximise k: edge connectivity around q is bounded by its core number.
-  const int64_t k_max = std::max<int64_t>(1, MaxCoreOf(g, q));
+  const int64_t k_max = std::max<int64_t>(1, cores.core[q]);
   std::vector<NodeId> best = {q};
   // Binary search over feasibility (feasible(k) is monotone decreasing).
   int64_t lo = 1, hi = k_max;
   while (lo <= hi) {
     const int64_t mid = (lo + hi) / 2;
-    auto result = SteinerKEcc(g, q, mid);
+    auto result = SteinerKEccFrom(g, q, mid, cores);
     if (!result.empty()) {
       best = std::move(result);
       lo = mid + 1;

@@ -6,11 +6,17 @@
 // until the component containing q is k-edge-connected. With k = -1 the
 // largest feasible k is found by binary search over the query component's
 // degeneracy bound.
+//
+// The config-only form computes a fresh core decomposition of g per call
+// (the batch oracle); the registry adapter passes g.Cores(), the
+// decomposition cached on the graph, to the overload and gets the same
+// answer. The min-cut recursion re-peels its own pruned subgraphs.
 #ifndef CGNP_CS_KECC_COMMUNITY_H_
 #define CGNP_CS_KECC_COMMUNITY_H_
 
 #include <vector>
 
+#include "graph/decomposition.h"
 #include "graph/graph.h"
 
 namespace cgnp {
@@ -22,6 +28,9 @@ struct KEccConfig {
 
 std::vector<NodeId> KEccCommunity(const Graph& g, NodeId q,
                                   const KEccConfig& config = {});
+std::vector<NodeId> KEccCommunity(const Graph& g, NodeId q,
+                                  const KEccConfig& config,
+                                  const CoreDecomposition& cores);
 
 // Helper (exposed for tests): the maximal k-edge-connected subgraph
 // containing q, or empty when none exists with >= 2 nodes.

@@ -49,7 +49,10 @@ namespace {
 // and returns exactly the node set the direct src/cs/ call returns (the
 // acceptance contract for the registry). Classical membership is crisp, so
 // `probs` stays empty; `labelled` is ignored (these algorithms cannot
-// condition on supervision).
+// condition on supervision). The kcore / ktruss / kecc / ctc adapters
+// read the structural decomposition cached on the queried graph
+// (Graph::Cores / Trusses), so only the first query on a graph pays for
+// peeling it.
 class ClassicalSearcher : public CommunitySearcher {
  public:
   using Algorithm = std::function<std::vector<NodeId>(const Graph&, NodeId)>;
@@ -106,12 +109,12 @@ void RegisterBuiltins(Registry* registry) {
   };
   add("kcore", [](const SearcherConfig& cfg) {
     return MakeClassical("kcore", [k = cfg.k](const Graph& g, NodeId q) {
-      return KCoreCommunity(g, q, k);
+      return KCoreCommunity(g, q, k, g.Cores());
     });
   });
   add("ktruss", [](const SearcherConfig& cfg) {
     return MakeClassical("ktruss", [k = cfg.k](const Graph& g, NodeId q) {
-      return KTrussCommunity(g, q, k);
+      return KTrussCommunity(g, q, k, g.Trusses());
     });
   });
   add("kclique", [](const SearcherConfig& cfg)
@@ -136,7 +139,7 @@ void RegisterBuiltins(Registry* registry) {
     KEccConfig kc;
     kc.k = cfg.k;
     return MakeClassical("kecc", [kc](const Graph& g, NodeId q) {
-      return KEccCommunity(g, q, kc);
+      return KEccCommunity(g, q, kc, g.Cores());
     });
   });
   add("acq", [](const SearcherConfig& cfg) {
@@ -159,7 +162,7 @@ void RegisterBuiltins(Registry* registry) {
     CtcConfig cc;
     cc.k = cfg.k;
     return MakeClassical("ctc", [cc](const Graph& g, NodeId q) {
-      return ClosestTrussCommunity(g, q, cc);
+      return ClosestTrussCommunity(g, q, cc, g.Trusses());
     });
   });
   // Incremental backends answering from a shared DynamicCommunityIndex

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
 
 #include "common/check.h"
 
@@ -185,58 +184,81 @@ std::vector<int64_t> EdgeSupports(const Graph& g, const EdgeList& el) {
   return sup;
 }
 
-// CSR position of edge (u, v); requires the edge to exist.
-int64_t PositionOf(const Graph& g, NodeId u, NodeId v) {
-  auto nb = g.Neighbors(u);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), v);
-  CGNP_CHECK(it != nb.end() && *it == v);
-  return g.row_ptr()[u] + (it - nb.begin());
-}
-
 }  // namespace
 
 std::vector<int64_t> TrussNumbers(const Graph& g, const EdgeList& el) {
   const int64_t m = static_cast<int64_t>(el.edges.size());
   std::vector<int64_t> sup = EdgeSupports(g, el);
+  int64_t max_sup = 0;
+  for (int64_t e = 0; e < m; ++e) max_sup = std::max(max_sup, sup[e]);
+  // Bucket sort by support, then peel in order: the Batagelj-Zaversnik
+  // layout of CoreNumbers over edges (Wang & Cheng, VLDB 2012). bin[s] is
+  // the position in `order` of the first unpeeled edge of support s.
+  std::vector<int64_t> bin(max_sup + 2, 0);
+  for (int64_t e = 0; e < m; ++e) ++bin[sup[e]];
+  int64_t start = 0;
+  for (int64_t s = 0; s <= max_sup; ++s) {
+    const int64_t count = bin[s];
+    bin[s] = start;
+    start += count;
+  }
+  std::vector<int64_t> pos(m), order(m);
+  for (int64_t e = 0; e < m; ++e) {
+    pos[e] = bin[sup[e]]++;
+    order[pos[e]] = e;
+  }
+  for (int64_t s = max_sup; s > 0; --s) bin[s] = bin[s - 1];
+  bin[0] = 0;
+  // Moves edge f one bucket down: swap it to the front of its bucket,
+  // then shrink the bucket past it.
+  const auto demote = [&](int64_t f) {
+    const int64_t sf = sup[f];
+    const int64_t pf = pos[f];
+    const int64_t pw = bin[sf];
+    const int64_t w = order[pw];
+    if (f != w) {
+      std::swap(order[pf], order[pw]);
+      pos[f] = pw;
+      pos[w] = pf;
+    }
+    ++bin[sf];
+    --sup[f];
+  };
+
   std::vector<int64_t> truss(m, 0);
   std::vector<char> removed(m, 0);
-  // Min-heap peeling by current support; lazy deletion.
-  using Entry = std::pair<int64_t, int64_t>;  // (support, edge)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (int64_t e = 0; e < m; ++e) heap.emplace(sup[e], e);
-  int64_t k = 2;
-  int64_t processed = 0;
-  while (processed < m) {
-    CGNP_CHECK(!heap.empty());
-    auto [s, e] = heap.top();
-    heap.pop();
-    if (removed[e] || s != sup[e]) continue;
-    k = std::max(k, s + 2);
-    truss[e] = k;
-    removed[e] = 1;
-    ++processed;
+  for (int64_t i = 0; i < m; ++i) {
+    // Supports only fall to the current level, so the peel visits them in
+    // non-decreasing order and the level is the truss number.
+    const int64_t e = order[i];
+    const int64_t s = sup[e];
+    truss[e] = s + 2;
     // Decrement supports of edges forming triangles with e.
     const auto [u, v] = el.edges[e];
     auto nu = g.Neighbors(u);
     auto nv = g.Neighbors(v);
-    size_t i = 0, j = 0;
-    while (i < nu.size() && j < nv.size()) {
-      if (nu[i] < nv[j]) {
-        ++i;
-      } else if (nu[i] > nv[j]) {
-        ++j;
+    size_t a = 0, b = 0;
+    while (a < nu.size() && b < nv.size()) {
+      if (nu[a] < nv[b]) {
+        ++a;
+      } else if (nu[a] > nv[b]) {
+        ++b;
       } else {
-        const NodeId w = nu[i];
-        const int64_t e1 = el.edge_of_pos[PositionOf(g, u, w)];
-        const int64_t e2 = el.edge_of_pos[PositionOf(g, v, w)];
+        // nu[a] == nv[b]: a and b locate the CSR slots of the other two
+        // edges of the triangle.
+        const int64_t e1 =
+            el.edge_of_pos[g.row_ptr()[u] + static_cast<int64_t>(a)];
+        const int64_t e2 =
+            el.edge_of_pos[g.row_ptr()[v] + static_cast<int64_t>(b)];
         if (!removed[e1] && !removed[e2]) {
-          if (sup[e1] > s) heap.emplace(--sup[e1], e1);
-          if (sup[e2] > s) heap.emplace(--sup[e2], e2);
+          if (sup[e1] > s) demote(e1);
+          if (sup[e2] > s) demote(e2);
         }
-        ++i;
-        ++j;
+        ++a;
+        ++b;
       }
     }
+    removed[e] = 1;
   }
   return truss;
 }
@@ -265,24 +287,46 @@ std::vector<int64_t> BfsDistances(const Graph& g, NodeId src,
 }
 
 std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q, int64_t k) {
-  const std::vector<int64_t> core = CoreNumbers(g);
+  return ConnectedKCoreContaining(g, q, k, ComputeCoreDecomposition(g));
+}
+
+std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q,
+                                             int64_t k,
+                                             const CoreDecomposition& cores) {
+  const std::vector<int32_t>& core = cores.core;
   if (core[q] < k) return {};
-  std::vector<char> keep(g.num_nodes(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) keep[v] = core[v] >= k;
-  const std::vector<int64_t> dist = BfsDistances(g, q, &keep);
+  // BFS over nodes of core >= k, then members in ascending id order.
+  const int64_t n = g.num_nodes();
+  std::vector<char> seen(n, 0);
+  std::vector<NodeId> stack = {q};
+  seen[q] = 1;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (NodeId u : g.Neighbors(v)) {
+      if (!seen[u] && core[u] >= k) {
+        seen[u] = 1;
+        stack.push_back(u);
+      }
+    }
+  }
   std::vector<NodeId> out;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (dist[v] >= 0) out.push_back(v);
+  for (NodeId v = 0; v < n; ++v) {
+    if (seen[v]) out.push_back(v);
   }
   return out;
 }
 
-std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t k) {
-  const EdgeList el = BuildEdgeList(g);
-  const std::vector<int64_t> truss = TrussNumbers(g, el);
-  // Keep only edges with truss >= k; BFS from q over those edges.
-  const int64_t n = g.num_nodes();
-  std::vector<char> seen(n, 0);
+namespace {
+
+// BFS from q over the CSR slots `keep(p)` accepts: the connected k-truss
+// containing q when `keep` selects the slots of truss >= k.
+template <typename KeepSlot>
+std::vector<NodeId> KTrussBfs(const Graph& g, NodeId q, int64_t k,
+                              KeepSlot keep) {
+  const auto row_ptr = g.row_ptr();
+  const auto col_idx = g.col_idx();
+  std::vector<char> seen(g.num_nodes(), 0);
   std::deque<NodeId> queue;
   std::vector<NodeId> out;
   seen[q] = 1;
@@ -292,11 +336,10 @@ std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t 
     const NodeId v = queue.front();
     queue.pop_front();
     out.push_back(v);
-    for (int64_t p = g.row_ptr()[v]; p < g.row_ptr()[v + 1]; ++p) {
-      const int64_t e = el.edge_of_pos[p];
-      if (truss[e] < k) continue;
+    for (int64_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
+      if (!keep(p)) continue;
       if (v == q) q_has_edge = true;
-      const NodeId u = g.col_idx()[p];
+      const NodeId u = col_idx[p];
       if (!seen[u]) {
         seen[u] = 1;
         queue.push_back(u);
@@ -305,6 +348,20 @@ std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t 
   }
   if (!q_has_edge && k > 2) return {};
   return out;
+}
+
+}  // namespace
+
+std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t k) {
+  // Every edge is in the 2-truss: below k = 3 there is nothing to peel.
+  if (k <= 2) return KTrussBfs(g, q, k, [](int64_t) { return true; });
+  return ConnectedKTrussContaining(g, q, k, ComputeTrussDecomposition(g));
+}
+
+std::vector<NodeId> ConnectedKTrussContaining(
+    const Graph& g, NodeId q, int64_t k, const TrussDecomposition& trusses) {
+  const std::vector<int32_t>& truss = trusses.truss;
+  return KTrussBfs(g, q, k, [&truss, k](int64_t p) { return truss[p] >= k; });
 }
 
 int64_t MaxCoreOf(const Graph& g, NodeId q) {
@@ -317,6 +374,15 @@ int64_t MaxTrussOf(const Graph& g, NodeId q, const EdgeList& el,
   int64_t best = g.Degree(q) > 0 ? 2 : 1;
   for (int64_t p = g.row_ptr()[q]; p < g.row_ptr()[q + 1]; ++p) {
     best = std::max(best, truss[el.edge_of_pos[p]]);
+  }
+  return best;
+}
+
+int64_t MaxTrussOf(const Graph& g, NodeId q,
+                   const TrussDecomposition& trusses) {
+  int64_t best = g.Degree(q) > 0 ? 2 : 1;
+  for (int64_t p = g.row_ptr()[q]; p < g.row_ptr()[q + 1]; ++p) {
+    best = std::max<int64_t>(best, trusses.truss[p]);
   }
   return best;
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/decomposition.h"
 #include "graph/graph.h"
 
 namespace cgnp {
@@ -44,12 +45,13 @@ std::vector<int64_t> BfsDistances(const Graph& g, NodeId src,
                                   const std::vector<char>* mask = nullptr);
 
 // Nodes of the maximal connected subgraph containing q in which every node
-// has degree >= k (the connected k-core containing q). Empty if q itself
-// cannot satisfy the constraint.
+// has degree >= k (the connected k-core containing q), in ascending id
+// order. Empty if q itself cannot satisfy the constraint.
 std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q, int64_t k);
 
 // Nodes of the maximal connected k-truss containing q (every edge has
-// support >= k-2 within the subgraph). Empty if no such subgraph.
+// support >= k-2 within the subgraph), in BFS discovery order from q.
+// Empty if no such subgraph.
 std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t k);
 
 // Largest k such that ConnectedKCoreContaining(g, q, k) is non-empty.
@@ -59,6 +61,19 @@ int64_t MaxCoreOf(const Graph& g, NodeId q);
 // q's incident edges; 2 when q has no triangle edges, 1 when isolated).
 int64_t MaxTrussOf(const Graph& g, NodeId q, const EdgeList& el,
                    const std::vector<int64_t>& truss);
+
+// The same three questions answered from a decomposition of `g`
+// (graph/decomposition.h) with a BFS or a scan of q's slots, instead of
+// peeling the whole graph. Identical answers, order included; the
+// ConnectedK*Containing overloads above compute a fresh decomposition and
+// call these (for k <= 2 the k-truss needs none: every edge is in it).
+std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q,
+                                             int64_t k,
+                                             const CoreDecomposition& cores);
+std::vector<NodeId> ConnectedKTrussContaining(
+    const Graph& g, NodeId q, int64_t k, const TrussDecomposition& trusses);
+int64_t MaxTrussOf(const Graph& g, NodeId q,
+                   const TrussDecomposition& trusses);
 
 }  // namespace cgnp
 

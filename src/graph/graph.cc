@@ -200,6 +200,9 @@ Graph GraphBuilder::Build() {
       bucket[cursor[v]++] = u;
     }
   }
+  // The buckets hold every edge now; release the soup before the CSR is
+  // allocated (a builder builds once: features and labels move out too).
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
   // Per-node sort + dedup, in place within each node's disjoint slice.
   std::vector<int64_t> uniq(n, 0);
   ParallelFor(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi) {
@@ -215,14 +218,19 @@ Graph GraphBuilder::Build() {
   g.num_nodes_ = n;
   g.row_ptr_.assign(n + 1, 0);
   for (int64_t i = 0; i < n; ++i) g.row_ptr_[i + 1] = g.row_ptr_[i] + uniq[i];
-  g.col_idx_.resize(g.row_ptr_[n]);
-  ParallelFor(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi) {
-    for (int64_t v = lo; v < hi; ++v) {
-      std::copy(bucket.begin() + bucket_ptr[v],
-                bucket.begin() + bucket_ptr[v] + uniq[v],
-                g.col_idx_.begin() + g.row_ptr_[v]);
-    }
-  });
+  if (g.row_ptr_[n] == bucket_ptr[n]) {
+    // No duplicates: the buckets already are the CSR.
+    g.col_idx_ = std::move(bucket);
+  } else {
+    g.col_idx_.resize(g.row_ptr_[n]);
+    ParallelFor(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi) {
+      for (int64_t v = lo; v < hi; ++v) {
+        std::copy(bucket.begin() + bucket_ptr[v],
+                  bucket.begin() + bucket_ptr[v] + uniq[v],
+                  g.col_idx_.begin() + g.row_ptr_[v]);
+      }
+    });
+  }
   g.feature_dim_ = feature_dim_;
   g.features_ = std::move(features_);
   g.attrs_ = std::move(attrs_);

@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "common/lazy.h"
 #include "common/status.h"
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
@@ -43,6 +44,8 @@ namespace cgnp {
 using NodeId = int64_t;
 
 class MappedFile;  // graph/storage.h; held only behind shared_ptr here
+struct CoreDecomposition;   // graph/decomposition.h
+struct TrussDecomposition;  // graph/decomposition.h
 
 // Which storage backs a Graph's CSR spans.
 enum class GraphBacking {
@@ -140,6 +143,16 @@ class Graph {
   };
   const EdgeIndex& AttentionEdges() const;
 
+  // --- Structural decomposition (cached, thread-safe) -----------------------
+  // Core number per node and truss number per CSR slot
+  // (graph/decomposition.h), each built on its first call -- the first
+  // classical query on this graph pays for it -- and kept for the life of
+  // this Graph. Unlike the GNN views above, first calls may come from many
+  // threads at once: one builds, the others wait. Copies made after a
+  // build share it; InducedSubgraph results start without one.
+  const CoreDecomposition& Cores() const;
+  const TrussDecomposition& Trusses() const;
+
  private:
   friend class GraphBuilder;
   // Binary container load paths (graph/format.cc): the only code that may
@@ -174,6 +187,10 @@ class Graph {
   mutable bool mean_adj_built_ = false;
   mutable EdgeIndex attn_edges_;
   mutable bool attn_edges_built_ = false;
+
+  // Lazily built structural decomposition (decomposition.cc).
+  LazyShared<CoreDecomposition> cores_;
+  LazyShared<TrussDecomposition> trusses_;
 };
 
 // Assembles a canonical CSR Graph from an edge soup. Edge semantics are an
@@ -203,6 +220,8 @@ class GraphBuilder {
 
   int64_t num_nodes() const { return num_nodes_; }
 
+  // Consumes the builder: edges, features, attributes and labels move
+  // into the Graph, so call it once.
   Graph Build();
 
  private:
