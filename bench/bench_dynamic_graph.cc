@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    serve::ContextCache::InvalidationResult inv;
+    ContextCache::InvalidationResult inv;
     if (scoped) {
       inv = server->Compact();
     } else {

@@ -154,7 +154,7 @@ int main() {
 
   // 6. Errors are values: a malformed query cannot crash a server built on
   // this API.
-  const auto bad = engine.Search(g, g.num_nodes() + 40);
+  const auto bad = engine.Query(g, g.num_nodes() + 40);
   std::printf("out-of-range query returns: %s\n",
               bad.status().ToString().c_str());
   return 0;

@@ -5,8 +5,10 @@
 //     restores an engine from a checkpoint and owns it -- backend choice
 //     stays a pure string + config, like the classical algorithms;
 //   * MakeCgnpSearcher(engine): wraps an engine the caller already holds
-//     (fitted in-process or shared with a QueryServer) without another
-//     checkpoint round-trip.
+//     (fitted in-process, or borrowed through a non-owning shared_ptr as
+//     QueryServer does) without another checkpoint round-trip.
+//
+// Search is CommunitySearchEngine::Query, QueryOptions::cache included.
 #ifndef CGNP_CORE_CGNP_SEARCHER_H_
 #define CGNP_CORE_CGNP_SEARCHER_H_
 

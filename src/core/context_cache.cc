@@ -1,4 +1,4 @@
-#include "serve/context_cache.h"
+#include "core/context_cache.h"
 
 #include <algorithm>
 
@@ -6,7 +6,6 @@
 #include "tensor/workspace.h"
 
 namespace cgnp {
-namespace serve {
 
 namespace {
 
@@ -196,5 +195,4 @@ uint64_t ContextCache::invalidations() const {
   return invalidations_;
 }
 
-}  // namespace serve
 }  // namespace cgnp

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "core/checkpoint.h"
+#include "core/context_cache.h"
 #include "graph/sampling.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -203,13 +204,23 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
   // after the scope) is destroyed before the arena resets. No-op when a
   // serving layer already opened a scope for this request.
   WorkspaceScope workspace;
-  Tensor context;
-  {
-    CGNP_TRACE_SPAN("encode");
-    context = model_->TaskContext(task.graph, task.support, nullptr);
-  }
   QueryResult result;
   result.backend = "cgnp";
+  Tensor context;
+  ContextCache::Key key;
+  if (options.cache != nullptr) {
+    CGNP_TRACE_SPAN("cache_lookup");
+    key = {options.graph_id, TaskFingerprint(task), options.graph_version};
+    result.cache_eligible = true;
+    result.cache_hit = options.cache->Get(key, &context);
+  }
+  if (!result.cache_hit) {
+    CGNP_TRACE_SPAN("encode");
+    context = model_->TaskContext(task.graph, task.support, nullptr);
+    // Record which parent nodes the context depends on (the task's
+    // subgraph) so graph updates invalidate by overlap, not wholesale.
+    if (options.cache != nullptr) options.cache->Put(key, context, task.nodes);
+  }
   result.members = MembersFromContext(*model_, task, context,
                                       options.threshold, &result.probs);
   const auto end = std::chrono::steady_clock::now();
@@ -222,16 +233,6 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
           "cgnp_backend_search_ms", {{"backend", "cgnp"}});
   search_ms->Record(result.elapsed_ms);
   return result;
-}
-
-StatusOr<std::vector<NodeId>> CommunitySearchEngine::Search(
-    const Graph& g, NodeId query, const std::vector<QueryExample>& labelled,
-    float threshold) const {
-  QueryOptions options;
-  options.threshold = threshold;
-  CGNP_ASSIGN_OR_RETURN(QueryResult result,
-                        Query(g, query, labelled, options));
-  return std::move(result.members);
 }
 
 Status CommunitySearchEngine::SaveCheckpoint(const std::string& path) const {

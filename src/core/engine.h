@@ -5,8 +5,8 @@
 // API v1 (see docs/API.md):
 //   * construction goes through the fluent EngineBuilder, which validates
 //     the configuration and returns StatusOr<CommunitySearchEngine>;
-//   * every method reachable with user input (Fit, Search, Query,
-//     checkpoint save/load) returns Status/StatusOr instead of aborting --
+//   * every method reachable with user input (Fit, Query, checkpoint
+//     save/load) returns Status/StatusOr instead of aborting --
 //     CGNP_CHECK remains only for internal invariants;
 //   * the engine is also reachable through the backend registry as "cgnp"
 //     (cs/searcher.h, core/cgnp_searcher.h), side by side with the
@@ -28,9 +28,8 @@ namespace cgnp {
 // A community-search query materialised as a self-contained local task:
 // the BFS subgraph around the query with the Section VII-A feature matrix
 // attached, support observations remapped into local ids, and the map back
-// to the parent graph's ids. Both CommunitySearchEngine::Search and the
-// serving subsystem (src/serve) build queries through this, so the two
-// paths are prediction-identical by construction.
+// to the parent graph's ids. CommunitySearchEngine::Query builds every
+// learned query through this -- direct calls and served requests alike.
 struct LocalQueryTask {
   Graph graph;                  // feature-attached task subgraph
   std::vector<NodeId> nodes;    // local id -> parent graph id
@@ -51,7 +50,7 @@ StatusOr<LocalQueryTask> BuildQueryTask(
     const Graph& g, NodeId query, const std::vector<QueryExample>& labelled,
     const TaskConfig& tasks, int64_t attribute_dim, uint64_t seed);
 
-// The decode half shared by Search and the server: one decoder pass over
+// The decode half of Query: one decoder pass over
 // the task given its context, sigmoid, then the membership rule (prob >=
 // threshold, query always included). Returns members in the parent
 // graph's ids; when `member_probs` is non-null it receives the matching
@@ -91,23 +90,19 @@ class CommunitySearchEngine {
   // with no further positives) conditions the context -- the zero-shot
   // setting. Returns members plus aligned membership probabilities and
   // timing; FailedPrecondition before Fit/load, OutOfRange for bad node
-  // ids, InvalidArgument for a bad threshold.
+  // ids, InvalidArgument for a bad threshold. With options.cache set, the
+  // encoded context is memoised there (core/context_cache.h): a hit skips
+  // the encoder and returns bit-identical members and probs.
   StatusOr<QueryResult> Query(const Graph& g, NodeId query,
                               const std::vector<QueryExample>& labelled = {},
                               const QueryOptions& options = {}) const;
-
-  // Member-list shorthand for Query (same validation and error space).
-  StatusOr<std::vector<NodeId>> Search(
-      const Graph& g, NodeId query,
-      const std::vector<QueryExample>& labelled = {},
-      float threshold = 0.5f) const;
 
   // Persists the engine (options + attribute/feature dims + the trained
   // model, when present) so a model trains once and serves forever.
   // Versioned binary format built on core/checkpoint.h.
   Status SaveCheckpoint(const std::string& path) const;
   // Restores an engine saved with SaveCheckpoint in a fresh process; a
-  // restored trained engine answers Search without re-Fitting. NotFound
+  // restored trained engine answers Query without re-Fitting. NotFound
   // for a missing file, DataLoss for a foreign, corrupt,
   // version-mismatched or truncated one. Also reachable as
   // EngineBuilder().FromCheckpoint(path).Build().

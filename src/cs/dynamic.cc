@@ -7,6 +7,7 @@
 
 #include "graph/decomposition.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cgnp {
 
@@ -528,6 +529,7 @@ class IncrementalSearcher : public CommunitySearcher {
   StatusOr<QueryResult> Search(const Graph& g, NodeId query,
                                const std::vector<QueryExample>& labelled,
                                const QueryOptions& options) const override {
+    CGNP_TRACE_SPAN("search");
     (void)g;
     (void)labelled;  // crisp structural membership, no supervision
     (void)options;

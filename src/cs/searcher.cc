@@ -15,6 +15,7 @@
 #include "cs/kecc_community.h"
 #include "cs/ktruss_community.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cgnp {
 
@@ -68,6 +69,8 @@ class ClassicalSearcher : public CommunitySearcher {
   StatusOr<QueryResult> Search(const Graph& g, NodeId query,
                                const std::vector<QueryExample>& labelled,
                                const QueryOptions& options) const override {
+    // A served classical answer reports this as its one depth-0 stage.
+    CGNP_TRACE_SPAN("search");
     (void)options;
     CGNP_RETURN_IF_ERROR(ValidateQueryInput(g, query, labelled));
     QueryResult result;

@@ -37,6 +37,7 @@
 
 namespace cgnp {
 
+class ContextCache;           // core/context_cache.h
 class DynamicCommunityIndex;  // cs/dynamic.h
 
 // Per-query knobs, interpreted by the backend.
@@ -44,6 +45,14 @@ struct QueryOptions {
   // Learned backends: membership-probability cut in [0, 1]. Ignored by the
   // classical algorithms (their membership is crisp).
   float threshold = 0.5f;
+  // Learned backends: optional context cache (not owned). When set, the
+  // encoded context is looked up under (graph_id, task fingerprint,
+  // graph_version) and stored there on a miss -- a hit skips the encoder.
+  // The ids name the request's graph and its version (see ContextCache);
+  // they mean nothing without a cache. Classical backends ignore all three.
+  ContextCache* cache = nullptr;
+  uint64_t graph_id = 0;
+  uint64_t graph_version = 0;
 };
 
 // One answered community-search query.
@@ -58,6 +67,10 @@ struct QueryResult {
   std::string backend;
   // Wall-clock time spent answering, for per-backend timing stats.
   double elapsed_ms = 0.0;
+  // The query consulted QueryOptions::cache (learned backends with a
+  // cache), and whether the context came from it.
+  bool cache_eligible = false;
+  bool cache_hit = false;
 };
 
 // A community-search backend. Implementations must be safe for concurrent

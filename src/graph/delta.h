@@ -7,7 +7,7 @@
 // CSR. Reads route through the GraphView interface and see the merged
 // state; every applied edit advances version() by exactly one and marks
 // both endpoints dirty, so downstream caches can invalidate by region
-// (serve/context_cache.h) instead of flushing. Compact() folds the
+// (core/context_cache.h) instead of flushing. Compact() folds the
 // overlay into a fresh snapshot that is bitwise identical -- row_ptr and
 // col_idx both -- to a from-scratch GraphBuilder build of the surviving
 // edge set, which is what tests/graph_delta_test.cc pins.

@@ -1,15 +1,13 @@
 #include "serve/query_server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <optional>
 #include <utility>
 
-#include "common/check.h"
+#include "core/cgnp_searcher.h"
 #include "graph/format.h"
 #include "obs/log.h"
-#include "tensor/ops.h"
 #include "tensor/workspace.h"
 
 namespace cgnp {
@@ -38,25 +36,15 @@ StatusOr<std::shared_ptr<const Graph>> OpenMappedGraph(
   return std::make_shared<const Graph>(std::move(g));
 }
 
-QueryServer::QueryServer(const CgnpModel* model,
-                         std::unique_ptr<CommunitySearcher> backend,
-                         std::shared_ptr<const CommunitySearchEngine>
-                             owned_engine,
+QueryServer::QueryServer(std::unique_ptr<CommunitySearcher> backend,
                          ServeOptions options)
-    : model_(model),
-      backend_(std::move(backend)),
-      owned_engine_(std::move(owned_engine)),
+    : backend_(std::move(backend)),
       backend_name_(options.backend),
       options_(std::move(options)),
       cache_(options_.cache_capacity),
       pool_(options_.num_threads),
       latency_reservoir_(static_cast<size_t>(
           std::max<int64_t>(1, options_.latency_reservoir))) {
-  // Private-constructor invariant: Create() is the only caller and always
-  // passes exactly one driver, so this cannot fire on user input.
-  CGNP_CHECK((model_ != nullptr) !=  // NOLINT(cgnp-no-abort): internal invariant of the private ctor; every user path goes through the validating Create()
-             (backend_ != nullptr))
-      << " exactly one of model/backend must drive the server";
   // Resolve the per-backend registry metrics once; recording through the
   // cached pointers is sharded and lock-free.
   auto& reg = obs::MetricsRegistry::Default();
@@ -79,50 +67,50 @@ QueryServer::QueryServer(const CgnpModel* model,
 
 StatusOr<std::unique_ptr<QueryServer>> QueryServer::Create(
     const CommunitySearchEngine* engine, ServeOptions options) {
-  if (options.num_threads <= 0) {
-    return InvalidArgumentError("num_threads must be positive, got " +
-                                std::to_string(options.num_threads));
+  // Checked before the pool exists, so an oversized request starts no
+  // threads at all.
+  if (options.num_threads <= 0 || options.num_threads > kMaxServeThreads) {
+    return InvalidArgumentError(
+        "num_threads must be in [1, " + std::to_string(kMaxServeThreads) +
+        "], got " + std::to_string(options.num_threads));
   }
   if (options.cache_capacity < 0) {
     return InvalidArgumentError("cache_capacity must be >= 0, got " +
                                 std::to_string(options.cache_capacity));
   }
-  // Unknown names fall through to MakeSearcher below, which returns
-  // NotFound listing the registered backends.
+  std::unique_ptr<CommunitySearcher> backend;
   if (options.backend == "cgnp") {
-    std::shared_ptr<const CommunitySearchEngine> owned;
-    if (engine == nullptr && !options.searcher.checkpoint.empty()) {
+    std::shared_ptr<const CommunitySearchEngine> shared;
+    if (engine != nullptr) {
+      // Borrowed: the caller keeps the engine alive past the server, so
+      // the pointer shares no ownership (aliasing an empty shared_ptr).
+      shared = std::shared_ptr<const CommunitySearchEngine>(
+          std::shared_ptr<const void>(), engine);
+    } else if (!options.searcher.checkpoint.empty()) {
       CGNP_ASSIGN_OR_RETURN(
           CommunitySearchEngine restored,
           CommunitySearchEngine::LoadCheckpoint(options.searcher.checkpoint));
-      owned = std::make_shared<const CommunitySearchEngine>(
+      shared = std::make_shared<const CommunitySearchEngine>(
           std::move(restored));
-      engine = owned.get();
-    }
-    if (engine == nullptr) {
+    } else {
       return InvalidArgumentError(
           "the \"cgnp\" backend needs a trained engine (pass one to "
           "Create, or set ServeOptions::searcher.checkpoint)");
     }
-    if (!engine->trained()) {
-      return FailedPreconditionError(
-          "the \"cgnp\" backend needs a trained engine: Fit it or restore "
-          "a trained checkpoint first");
-    }
-    // Inherit the task materialisation parameters from the engine so
-    // served responses are identical to engine.Search.
-    options.tasks = engine->options().tasks;
-    options.attribute_dim = engine->attribute_dim();
-    options.seed = engine->options().seed;
-    return std::unique_ptr<QueryServer>(
-        new QueryServer(engine->model(), /*backend=*/nullptr,
-                        std::move(owned), std::move(options)));
+    // Mirror the task materialisation parameters for inspection
+    // (options()); the searcher answers through engine.Query, which uses
+    // the engine's own.
+    options.tasks = shared->options().tasks;
+    options.attribute_dim = shared->attribute_dim();
+    options.seed = shared->options().seed;
+    CGNP_ASSIGN_OR_RETURN(backend, MakeCgnpSearcher(std::move(shared)));
+  } else {
+    // Unknown names return NotFound listing the registered backends.
+    CGNP_ASSIGN_OR_RETURN(backend,
+                          MakeSearcher(options.backend, options.searcher));
   }
-  CGNP_ASSIGN_OR_RETURN(auto backend,
-                        MakeSearcher(options.backend, options.searcher));
   return std::unique_ptr<QueryServer>(
-      new QueryServer(/*model=*/nullptr, std::move(backend),
-                      /*owned_engine=*/nullptr, std::move(options)));
+      new QueryServer(std::move(backend), std::move(options)));
 }
 
 Status QueryServer::AnswerRequest(const SearchRequest& request,
@@ -132,56 +120,18 @@ Status QueryServer::AnswerRequest(const SearchRequest& request,
   }
   QueryOptions query_options;
   query_options.threshold = request.threshold;
-
-  if (backend_ != nullptr) {
-    // Registry backend: it performs the full input validation itself.
-    CGNP_TRACE_SPAN("search");
-    CGNP_ASSIGN_OR_RETURN(
-        QueryResult result,
-        backend_->Search(*request.graph, request.query, request.support,
-                         query_options));
-    resp->members = std::move(result.members);
-    resp->probs = std::move(result.probs);
-    return Status::Ok();
-  }
-
-  // cgnp pipeline with the context cache. NaN fails both comparisons.
-  if (!(request.threshold >= 0.0f && request.threshold <= 1.0f)) {
-    return InvalidArgumentError("threshold must be in [0, 1], got " +
-                                std::to_string(request.threshold));
-  }
-  // Inference never records tape (thread-local switch; see tensor/tensor.h).
-  NoGradGuard no_grad;
+  query_options.cache = &cache_;
+  query_options.graph_id = request.graph_id;
+  query_options.graph_version = request.graph_version;
+  // The backend validates the request itself (node ids, threshold).
   CGNP_ASSIGN_OR_RETURN(
-      LocalQueryTask task,
-      BuildQueryTask(*request.graph, request.query, request.support,
-                     options_.tasks, options_.attribute_dim, options_.seed));
-  if (task.graph.feature_dim() != model_->feature_dim()) {
-    return InvalidArgumentError(
-        "request graph features incompatible with the served model: task "
-        "feature_dim " + std::to_string(task.graph.feature_dim()) +
-        " vs model " + std::to_string(model_->feature_dim()));
-  }
-
-  const ContextCache::Key key{request.graph_id, TaskFingerprint(task),
-                              request.graph_version};
-  resp->cache_eligible = true;  // the cgnp path consults the cache
-  Tensor context;
-  if (cache_.Get(key, &context)) {
-    resp->cache_hit = true;
-  } else {
-    CGNP_TRACE_SPAN("encode");
-    context = model_->TaskContext(task.graph, task.support, nullptr);
-    // Record which parent nodes the context depends on (the task's
-    // subgraph list) so graph updates can invalidate by overlap instead
-    // of flushing the whole graph id.
-    cache_.Put(key, context, task.nodes);
-  }
-
-  // Same decode path as CommunitySearchEngine::Search, so multi-threaded
-  // serving is prediction-identical to single-threaded Search.
-  resp->members = MembersFromContext(*model_, task, context,
-                                     request.threshold, &resp->probs);
+      QueryResult result,
+      backend_->Search(*request.graph, request.query, request.support,
+                       query_options));
+  resp->members = std::move(result.members);
+  resp->probs = std::move(result.probs);
+  resp->cache_eligible = result.cache_eligible;
+  resp->cache_hit = result.cache_hit;
   return Status::Ok();
 }
 
@@ -208,7 +158,7 @@ void QueryServer::RecordStages(const std::vector<obs::StageTiming>& stages) {
   }
 }
 
-SearchResponse QueryServer::ServeOne(const SearchRequest& request) {
+SearchResponse QueryServer::Serve(const SearchRequest& request) {
   metrics_.queue_depth->Set(static_cast<double>(pool_.pending()));
   const auto start = std::chrono::steady_clock::now();
   SearchResponse resp;
@@ -216,8 +166,8 @@ SearchResponse QueryServer::ServeOne(const SearchRequest& request) {
   resp.threshold = request.threshold;
 #if CGNP_OBS_ENABLED
   // Capture this request's stage tree: spans fired anywhere below
-  // AnswerRequest (task_build/encode/decode in the engine, search in the
-  // classical adapters) land in this collector.
+  // AnswerRequest (task_build/cache_lookup/encode/decode in the engine,
+  // search in the classical adapters) land in this collector.
   std::optional<obs::TraceCollector> collector;
   if (obs::Enabled()) collector.emplace();
 #endif
@@ -230,9 +180,6 @@ SearchResponse QueryServer::ServeOne(const SearchRequest& request) {
     resp.status = AnswerRequest(request, &resp);
   }
   if (!resp.status.ok()) {
-    resp.members.clear();
-    resp.probs.clear();
-    resp.cache_hit = false;
     CGNP_LOG_EVERY(kWarn, "serve_request_failed", /*per_second=*/1.0)
         .Str("backend", backend_name_)
         .Err(resp.status);
@@ -278,10 +225,6 @@ SearchResponse QueryServer::ServeOne(const SearchRequest& request) {
   return resp;
 }
 
-SearchResponse QueryServer::Serve(const SearchRequest& request) {
-  return ServeOne(request);
-}
-
 ContextCache::InvalidationResult QueryServer::NotifyGraphUpdate(
     uint64_t graph_id, uint64_t new_version,
     const std::vector<NodeId>& dirty) {
@@ -321,7 +264,7 @@ std::vector<SearchResponse> QueryServer::ServeBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     pool_.Submit([this, &batch, &responses, &done_mu, &done_cv, &remaining,
                   i] {
-      responses[i] = ServeOne(batch[i]);
+      responses[i] = Serve(batch[i]);
       std::lock_guard<std::mutex> lock(done_mu);
       if (--remaining == 0) done_cv.notify_one();
     });

@@ -197,7 +197,8 @@ TEST(Checkpoint, EngineRoundTripSearchIdentical) {
   EXPECT_EQ(restored.options().tasks.subgraph_size, opt.tasks.subgraph_size);
 
   for (NodeId q : {NodeId(3), NodeId(17), NodeId(101)}) {
-    EXPECT_EQ(engine.Search(g, q).value(), restored.Search(g, q).value())
+    EXPECT_EQ(engine.Query(g, q).value().members,
+              restored.Query(g, q).value().members)
         << "restored engine diverged on query " << q;
   }
 }

@@ -6,16 +6,15 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/context_cache.h"
 #include "cs/kcore_community.h"
 #include "data/synthetic.h"
 #include "graph/algorithms.h"
 #include "gtest/gtest.h"
-#include "serve/context_cache.h"
 
 namespace cgnp {
 namespace {
 
-using serve::ContextCache;
 using serve::DynamicGraphServer;
 using serve::SearchRequest;
 using serve::SearchResponse;

@@ -45,7 +45,7 @@ TEST(Engine, FitThenSearchReturnsQuery) {
   ASSERT_TRUE(engine.Fit(g).ok());
   EXPECT_TRUE(engine.trained());
   const NodeId q = 17;
-  const auto members = engine.Search(g, q).value();
+  const auto members = engine.Query(g, q).value().members;
   EXPECT_FALSE(members.empty());
   EXPECT_NE(std::find(members.begin(), members.end(), q), members.end());
 }
@@ -87,7 +87,7 @@ TEST(Engine, SupportObservationsImproveSearch) {
     return p + r > 0 ? 2 * p * r / (p + r) : 0.0;
   };
 
-  const auto with_support = engine.Search(g, q, {obs}).value();
+  const auto with_support = engine.Query(g, q, {obs}).value().members;
   EXPECT_GT(f1_of(with_support), 0.1) << "supported search should find most"
                                          " of the planted community";
 }
@@ -100,7 +100,7 @@ TEST(Engine, ValidationEarlyStoppingPath) {
   CommunitySearchEngine engine(opt);
   ASSERT_TRUE(engine.Fit(g).ok());
   EXPECT_TRUE(engine.trained());
-  const auto members = engine.Search(g, 11).value();
+  const auto members = engine.Query(g, 11).value().members;
   EXPECT_FALSE(members.empty());
 }
 
@@ -111,7 +111,7 @@ TEST(Engine, SearchOnUnseenGraphSameSchema) {
   Graph test_g = PlantedGraph(2);
   CommunitySearchEngine engine(FastOptions());
   ASSERT_TRUE(engine.Fit(train_g).ok());
-  const auto members = engine.Search(test_g, 7).value();
+  const auto members = engine.Query(test_g, 7).value().members;
   EXPECT_FALSE(members.empty());
 }
 
@@ -134,7 +134,7 @@ TEST(EngineBuilderTest, BuildsValidatedEngineFluently) {
   Graph g = PlantedGraph();
   CommunitySearchEngine engine = std::move(built).value();
   ASSERT_TRUE(engine.Fit(g).ok());
-  EXPECT_FALSE(engine.Search(g, 5).value().empty());
+  EXPECT_FALSE(engine.Query(g, 5).value().members.empty());
 }
 
 TEST(EngineBuilderTest, RejectsInvalidConfigs) {
@@ -174,7 +174,8 @@ TEST(EngineBuilderTest, CheckpointRoundTripThroughBuilder) {
   auto restored = EngineBuilder().FromCheckpoint(path).Build();
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_TRUE(restored->trained());
-  EXPECT_EQ(engine.Search(g, 17).value(), restored->Search(g, 17).value());
+  EXPECT_EQ(engine.Query(g, 17).value().members,
+            restored->Query(g, 17).value().members);
   std::remove(path.c_str());
 
   // FromCheckpoint is exclusive with the config setters: the checkpoint
@@ -192,7 +193,7 @@ TEST(EngineBuilderTest, CheckpointRoundTripThroughBuilder) {
 TEST(EngineErrorTest, SearchBeforeFitIsFailedPrecondition) {
   Graph g = PlantedGraph();
   const CommunitySearchEngine engine(FastOptions());
-  const auto result = engine.Search(g, 3);
+  const auto result = engine.Query(g, 3);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -203,7 +204,7 @@ TEST(EngineErrorTest, OutOfRangeQueryIdReturnsStatus) {
   ASSERT_TRUE(engine.Fit(g).ok());
 
   for (const NodeId bad : {NodeId(-1), g.num_nodes(), NodeId(1 << 30)}) {
-    const auto result = engine.Search(g, bad);
+    const auto result = engine.Query(g, bad);
     ASSERT_FALSE(result.ok()) << "query " << bad << " was accepted";
     EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   }
@@ -217,7 +218,7 @@ TEST(EngineErrorTest, OutOfRangeSupportIdReturnsStatus) {
   QueryExample obs;
   obs.query = 3;
   obs.pos.push_back(g.num_nodes() + 7);  // malformed external request
-  const auto result = engine.Search(g, 3, {obs});
+  const auto result = engine.Query(g, 3, {obs});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }
@@ -228,7 +229,7 @@ TEST(EngineErrorTest, EmptyGraphReturnsStatus) {
   ASSERT_TRUE(engine.Fit(train_g).ok());
 
   const Graph empty;
-  const auto result = engine.Search(empty, 0);
+  const auto result = engine.Query(empty, 0);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().code() == StatusCode::kInvalidArgument ||
               result.status().code() == StatusCode::kOutOfRange)
@@ -240,7 +241,7 @@ TEST(EngineErrorTest, BadThresholdReturnsInvalidArgument) {
   CommunitySearchEngine engine(FastOptions());
   ASSERT_TRUE(engine.Fit(g).ok());
   for (const float bad : {-0.5f, 1.5f, std::nanf("")}) {
-    const auto result = engine.Search(g, 3, {}, bad);
+    const auto result = engine.Query(g, 3, {}, QueryOptions{bad});
     ASSERT_FALSE(result.ok()) << "threshold " << bad << " was accepted";
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }

@@ -510,8 +510,8 @@ TEST(GraphFormatBackends, EngineSearchIdenticalOnBothBackings) {
   // Same bytes, same deterministic task sampling: predictions must be
   // bitwise-identical whichever storage backs the parent graph.
   for (NodeId q : {NodeId(5), NodeId(123), NodeId(377)}) {
-    EXPECT_EQ(engine.Search(loaded, q).value(),
-              engine.Search(mapped, q).value())
+    EXPECT_EQ(engine.Query(loaded, q).value().members,
+              engine.Query(mapped, q).value().members)
         << "engine diverged across backings on query " << q;
   }
   std::remove(path.c_str());

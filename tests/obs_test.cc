@@ -362,9 +362,16 @@ TEST(ServeObsTest, CacheHitSkipsEncodeStage) {
   req.graph_id = 1;
   req.query = 3;
 
-  const auto has_encode = [](const SearchResponse& resp) {
+  // Depth-0 stages for what must run; any depth for what must not.
+  const auto has_stage = [](const SearchResponse& resp, const char* name) {
     for (const StageTiming& st : resp.stages) {
-      if (st.name == "encode") return true;
+      if (st.depth == 0 && st.name == name) return true;
+    }
+    return false;
+  };
+  const auto has_span = [](const SearchResponse& resp, const char* name) {
+    for (const StageTiming& st : resp.stages) {
+      if (st.name == name) return true;
     }
     return false;
   };
@@ -373,13 +380,15 @@ TEST(ServeObsTest, CacheHitSkipsEncodeStage) {
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.cache_hit);
   EXPECT_TRUE(cold.cache_eligible);
-  EXPECT_TRUE(has_encode(cold));
+  EXPECT_TRUE(has_stage(cold, "cache_lookup"));
+  EXPECT_TRUE(has_stage(cold, "encode"));
 
   const SearchResponse warm = server.Serve(req);
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_TRUE(warm.cache_eligible);
-  EXPECT_FALSE(has_encode(warm));  // Algorithm 2: context reused
+  EXPECT_TRUE(has_stage(warm, "cache_lookup"));
+  EXPECT_FALSE(has_span(warm, "encode"));  // Algorithm 2: context reused
 
   // The per-stage window stats see one encode over two requests.
   const ServerStats stats = server.Stats();

@@ -17,6 +17,7 @@
 #include "cs/ktruss_community.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 
 namespace cgnp {
 namespace {
@@ -75,6 +76,8 @@ TEST(SearcherRegistryTest, CustomBackendRegistersAndResolves) {
     StatusOr<QueryResult> Search(const Graph&, NodeId query,
                                  const std::vector<QueryExample>&,
                                  const QueryOptions&) const override {
+      // A backend opens its own depth-0 span; QueryServer adds none.
+      CGNP_TRACE_SPAN("search");
       QueryResult r;
       r.backend = name();
       r.members = {query};
@@ -197,7 +200,7 @@ TEST(CgnpSearcherTest, WrapsTrainedEngineAndMatchesQuery) {
   const auto via_searcher = (*searcher)->Search(g, 17, {}, {});
   ASSERT_TRUE(via_searcher.ok()) << via_searcher.status();
   EXPECT_EQ(via_searcher->backend, "cgnp");
-  EXPECT_EQ(via_searcher->members, engine->Search(g, 17).value());
+  EXPECT_EQ(via_searcher->members, engine->Query(g, 17).value().members);
   EXPECT_EQ(via_searcher->members.size(), via_searcher->probs.size());
 }
 
@@ -237,7 +240,7 @@ TEST(CgnpSearcherTest, RegistryFactoryLoadsCheckpoint) {
   ASSERT_TRUE(searcher.ok()) << searcher.status();
   const auto result = (*searcher)->Search(g, 17, {}, {});
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->members, engine.Search(g, 17).value())
+  EXPECT_EQ(result->members, engine.Query(g, 17).value().members)
       << "checkpoint-restored backend diverged from the source engine";
 }
 

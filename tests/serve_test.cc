@@ -1,27 +1,27 @@
 #include "serve/query_server.h"
 
 #include <atomic>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "core/context_cache.h"
 #include "cs/kcore_community.h"
 #include "cs/ktruss_community.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
-#include "serve/context_cache.h"
 
 namespace cgnp {
 namespace {
 
-using serve::ContextCache;
 using serve::QueryServer;
 using serve::SearchRequest;
 using serve::SearchResponse;
 using serve::ServeOptions;
-using serve::TaskFingerprint;
 
 // All construction goes through the validating Create(); the helper keeps
 // each test at one line. Tests that need a failure path call Create()
@@ -200,7 +200,8 @@ TEST(QueryServerTest, MatchesSingleThreadedEngineSearch) {
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok()) << responses[i].status;
-    EXPECT_EQ(responses[i].members, engine.Search(g, batch[i].query).value())
+    EXPECT_EQ(responses[i].members,
+              engine.Query(g, batch[i].query).value().members)
         << "multi-threaded serving diverged from Search on query "
         << batch[i].query;
   }
@@ -223,7 +224,8 @@ TEST(QueryServerTest, SupportedQueriesMatchEngineSearch) {
   req.graph = &g;
   req.query = q;
   req.support = {obs};
-  EXPECT_EQ(server.Serve(req).members, engine.Search(g, q, {obs}).value());
+  EXPECT_EQ(server.Serve(req).members,
+            engine.Query(g, q, {obs}).value().members);
 }
 
 TEST(QueryServerTest, StatsTrackRequestsAndCacheHits) {
@@ -389,7 +391,170 @@ TEST(QueryServerBackendTest, CgnpViaCreateMatchesEngineSearch) {
   const SearchResponse resp = (*server)->Serve(req);
   ASSERT_TRUE(resp.status.ok()) << resp.status;
   EXPECT_EQ(resp.backend, "cgnp");
-  EXPECT_EQ(resp.members, engine.Search(g, 23).value());
+  EXPECT_EQ(resp.members, engine.Query(g, 23).value().members);
+}
+
+// --- Differential: served cgnp vs the engine's own Query ------------------
+
+// Randomized cgnp requests with distinct query nodes: zero-shot and
+// supported, support ids drawn both from the query's community and from
+// anywhere in the graph (most of which fall outside the 80-node task
+// subgraph and are dropped by the remap), thresholds in {0, 0.5, 1}.
+std::vector<SearchRequest> RandomCgnpRequests(const Graph& g, int count,
+                                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeId> queries(static_cast<size_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) queries[v] = v;
+  rng.Shuffle(&queries);
+  const float thresholds[] = {0.0f, 0.5f, 1.0f};
+  std::vector<SearchRequest> out;
+  for (int i = 0; i < count; ++i) {
+    SearchRequest req;
+    req.graph = &g;
+    req.graph_id = 1;
+    req.query = queries[i];
+    req.threshold = thresholds[rng.NextInt(3)];
+    const int64_t shots = rng.NextInt(3);  // 0 = zero-shot
+    for (int64_t s = 0; s < shots; ++s) {
+      QueryExample ex;
+      ex.query = s == 0 ? req.query : rng.NextInt(g.num_nodes());
+      const int64_t community = g.CommunityOf(ex.query);
+      for (int k = 0; k < 4; ++k) {
+        const NodeId v = rng.NextInt(g.num_nodes());
+        if (g.CommunityOf(v) == community) ex.pos.push_back(v);
+      }
+      for (int64_t k = rng.NextInt(4); k > 0; --k) {
+        ex.neg.push_back(rng.NextInt(g.num_nodes()));
+      }
+      req.support.push_back(std::move(ex));
+    }
+    out.push_back(std::move(req));
+  }
+  return out;
+}
+
+// Members equal and probs bitwise equal to the uncached engine.Query.
+void ExpectMatchesEngineQuery(const CommunitySearchEngine& engine,
+                              const SearchRequest& req,
+                              const SearchResponse& resp) {
+  ASSERT_TRUE(resp.status.ok()) << resp.status;
+  const QueryResult want =
+      engine.Query(*req.graph, req.query, req.support,
+                   QueryOptions{req.threshold})
+          .value();
+  EXPECT_EQ(resp.members, want.members) << "query " << req.query;
+  ASSERT_EQ(resp.probs.size(), want.probs.size()) << "query " << req.query;
+  EXPECT_EQ(std::memcmp(resp.probs.data(), want.probs.data(),
+                        want.probs.size() * sizeof(float)),
+            0)
+      << "probs differ bitwise on query " << req.query;
+  EXPECT_TRUE(resp.cache_eligible);
+}
+
+TEST(CgnpDifferentialTest, ServedMatchesEngineQueryAcrossThreadsAndCaches) {
+  const Graph g = PlantedGraph();
+  const CommunitySearchEngine engine = TrainedEngine(g);
+  const std::vector<SearchRequest> requests = RandomCgnpRequests(g, 24, 99);
+
+  // The batch really exercises support nodes outside the task subgraph.
+  int outside = 0;
+  for (const SearchRequest& req : requests) {
+    const LocalQueryTask task =
+        BuildQueryTask(g, req.query, req.support, engine.options().tasks,
+                       engine.attribute_dim(), engine.options().seed)
+            .value();
+    const std::set<NodeId> in_task(task.nodes.begin(), task.nodes.end());
+    for (const QueryExample& ex : req.support) {
+      bool any_outside = in_task.count(ex.query) == 0;
+      for (NodeId v : ex.pos) any_outside |= in_task.count(v) == 0;
+      for (NodeId v : ex.neg) any_outside |= in_task.count(v) == 0;
+      outside += any_outside ? 1 : 0;
+    }
+  }
+  EXPECT_GT(outside, 0);
+
+  for (int threads : {1, 4}) {
+    for (int64_t capacity : {int64_t{0}, int64_t{2}, int64_t{256}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " capacity=" + std::to_string(capacity));
+      auto server = MakeServer(engine, threads, capacity);
+      const auto first = server->ServeBatch(requests);
+      const auto second = server->ServeBatch(requests);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ExpectMatchesEngineQuery(engine, requests[i], first[i]);
+        ExpectMatchesEngineQuery(engine, requests[i], second[i]);
+        // Distinct queries never share a context, so the first pass
+        // always encodes; the second hits whenever everything fits (at
+        // capacity 2 the concurrent eviction order is unspecified).
+        EXPECT_FALSE(first[i].cache_hit);
+        if (capacity != 2) {
+          EXPECT_EQ(second[i].cache_hit, capacity == 256);
+        }
+      }
+    }
+  }
+}
+
+TEST(CgnpDifferentialTest, CacheFlagsFollowLruThroughEvictions) {
+  const Graph g = PlantedGraph();
+  const CommunitySearchEngine engine = TrainedEngine(g);
+  std::vector<SearchRequest> r = RandomCgnpRequests(g, 3, 7);
+  r[0].support.clear();  // zero-shot; see the supported twin below
+  auto server = MakeServer(engine, 1, /*cache_capacity=*/2);
+
+  // Capacity 2, LRU: A B | A hit | C evicts B | B evicts A | C hit | A.
+  const std::pair<int, bool> sequence[] = {{0, false}, {1, false},
+                                           {0, true},  {2, false},
+                                           {1, false}, {2, true},
+                                           {0, false}};
+  for (const auto& [i, hit] : sequence) {
+    const SearchResponse resp = server->Serve(r[i]);
+    ExpectMatchesEngineQuery(engine, r[i], resp);
+    EXPECT_EQ(resp.cache_hit, hit) << "request " << i;
+  }
+  // The threshold is not part of the key: a hit at another threshold
+  // still decodes exactly what an uncached Query would.
+  r[0].threshold = r[0].threshold == 1.0f ? 0.0f : 1.0f;
+  const SearchResponse rethresholded = server->Serve(r[0]);
+  ExpectMatchesEngineQuery(engine, r[0], rethresholded);
+  EXPECT_TRUE(rethresholded.cache_hit);
+  EXPECT_EQ(server->Stats().cache_evictions, 3u);
+
+  // Same query and subgraph but a support example the remap keeps (the
+  // query's first neighbour is in its BFS sample): a different task, so
+  // it must not reuse the zero-shot context.
+  SearchRequest supported = r[0];
+  QueryExample ex;
+  ex.query = r[0].query;
+  ex.pos.push_back(g.Neighbors(r[0].query)[0]);
+  supported.support = {ex};
+  const SearchResponse resp = server->Serve(supported);
+  ExpectMatchesEngineQuery(engine, supported, resp);
+  EXPECT_FALSE(resp.cache_hit);
+}
+
+TEST(CgnpDifferentialTest, CheckpointBackedServerOwnsItsEngine) {
+  const Graph g = PlantedGraph();
+  const CommunitySearchEngine engine = TrainedEngine(g);
+  const std::string path = ::testing::TempDir() + "serve_engine.ckpt";
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+
+  ServeOptions opt;
+  opt.num_threads = 2;
+  opt.searcher.checkpoint = path;
+  auto server = QueryServer::Create(nullptr, opt);
+  // The restored engine lives in the server; the file is no longer needed.
+  std::remove(path.c_str());
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  const std::vector<SearchRequest> requests = RandomCgnpRequests(g, 8, 5);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto responses = (*server)->ServeBatch(requests);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ExpectMatchesEngineQuery(engine, requests[i], responses[i]);
+      EXPECT_EQ(responses[i].cache_hit, pass == 1);
+    }
+  }
 }
 
 // --- Error paths: malformed requests never abort the server ----------------
@@ -446,6 +611,21 @@ TEST(QueryServerErrorTest, BatchMixesErrorsAndSuccesses) {
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_EQ(stats.backend, "cgnp");
+}
+
+TEST(QueryServerErrorTest, OversizedThreadCountRejectedBeforeSpawning) {
+  // Create validates num_threads before building the pool, so these
+  // requests start no threads at all.
+  for (const char* backend : {"kcore", "cgnp"}) {
+    for (const int threads : {1 << 20, serve::kMaxServeThreads + 1}) {
+      serve::ServeOptions opt;
+      opt.backend = backend;
+      opt.num_threads = threads;
+      const auto server = QueryServer::Create(nullptr, opt);
+      ASSERT_FALSE(server.ok()) << backend << " threads=" << threads;
+      EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(QueryServerErrorTest, ClassicalBackendErrorsOnBadQuery) {

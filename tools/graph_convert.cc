@@ -29,6 +29,7 @@
 //
 // Exit codes: 0 success, 1 Status failure (missing/corrupt file, failed
 // query, bad edit), 2 usage error. Never aborts on bad input files.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +75,20 @@ int Fail(const Status& s) {
 const char* FlagValue(const std::string& arg, const char* prefix) {
   const size_t n = std::strlen(prefix);
   return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
+}
+
+// --threads=T: the whole value must be an integer in
+// [1, serve::kMaxServeThreads].
+bool ParseThreads(const char* text, int* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > serve::kMaxServeThreads) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 int RunConvert(const std::vector<std::string>& args) {
@@ -200,12 +215,18 @@ int RunServe(const std::string& path, const std::vector<std::string>& args) {
     } else if (const char* backend = FlagValue(arg, "--backend=")) {
       opt.backend = backend;
     } else if (const char* threads = FlagValue(arg, "--threads=")) {
-      opt.num_threads = static_cast<int>(std::atoll(threads));
+      if (!ParseThreads(threads, &opt.num_threads)) {
+        std::fprintf(stderr,
+                     "graph_convert: --threads must be an integer in "
+                     "[1, %d], got \"%s\"\n",
+                     serve::kMaxServeThreads, threads);
+        return Usage();
+      }
     } else {
       return Usage();
     }
   }
-  if (queries <= 0 || opt.num_threads <= 0) return Usage();
+  if (queries <= 0) return Usage();
 
   const auto graph = serve::OpenMappedGraph(path);
   if (!graph.ok()) return Fail(graph.status());
