@@ -13,7 +13,6 @@ namespace lint {
 
 namespace {
 
-const char kRuleDiscardedStatus[] = "cgnp-discarded-status";
 const char kRuleNoAbort[] = "cgnp-no-abort";
 const char kRuleDeterminism[] = "cgnp-determinism";
 const char kRuleRawLogging[] = "cgnp-raw-logging";
@@ -22,9 +21,8 @@ const char kRuleNoRawIntrinsics[] = "cgnp-no-raw-intrinsics";
 const char kRuleNolintJustification[] = "cgnp-nolint-justification";
 
 const char* const kKnownRules[] = {
-    kRuleDiscardedStatus, kRuleNoAbort,          kRuleDeterminism,
-    kRuleRawLogging,      kRuleIncludeHygiene,   kRuleNoRawIntrinsics,
-    kRuleNolintJustification,
+    kRuleNoAbort,         kRuleDeterminism,     kRuleRawLogging,
+    kRuleIncludeHygiene,  kRuleNoRawIntrinsics, kRuleNolintJustification,
 };
 
 // Vendor SIMD intrinsic headers (and the umbrella headers that pull them
@@ -312,245 +310,6 @@ int LineOfOffset(const std::string& text, size_t offset) {
   return line;
 }
 
-// --- Status symbol table ---------------------------------------------------
-
-// Collects the names of functions declared as returning Status or
-// StatusOr<...> *by value* anywhere in the cleaned text. Reference-returning
-// accessors (`const Status& status()`) are deliberately not collected:
-// discarding a getter is harmless.
-void CollectStatusFunctions(const std::string& code,
-                            std::set<std::string>* names) {
-  const std::set<std::string> deny = {"if",     "for",    "while",
-                                      "switch", "return", "operator"};
-  size_t i = 0;
-  std::string prev_token;
-  while (i < code.size()) {
-    if (!IsIdentChar(code[i])) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    while (i < code.size() && IsIdentChar(code[i])) ++i;
-    std::string token = code.substr(start, i - start);
-    if (token != "Status" && token != "StatusOr") {
-      prev_token = std::move(token);
-      continue;
-    }
-    if (prev_token == "class" || prev_token == "struct" ||
-        prev_token == "enum" || prev_token == "friend" ||
-        prev_token == "using") {
-      prev_token = std::move(token);
-      continue;
-    }
-    prev_token = std::move(token);
-    size_t j = i;
-    auto skip_space = [&] {
-      while (j < code.size() &&
-             std::isspace(static_cast<unsigned char>(code[j])) != 0) {
-        ++j;
-      }
-    };
-    skip_space();
-    if (prev_token == "StatusOr") {
-      if (j >= code.size() || code[j] != '<') continue;
-      int depth = 0;
-      while (j < code.size()) {
-        if (code[j] == '<') ++depth;
-        if (code[j] == '>') {
-          --depth;
-          if (depth == 0) {
-            ++j;
-            break;
-          }
-        }
-        ++j;
-      }
-      if (depth != 0) continue;
-      skip_space();
-    }
-    // By-value only: a '&' or '*' here means a reference/pointer return.
-    if (j < code.size() && (code[j] == '&' || code[j] == '*')) continue;
-    // Qualified identifier; the last component is the function name.
-    std::string name;
-    while (j < code.size() && IsIdentChar(code[j])) {
-      size_t s = j;
-      while (j < code.size() && IsIdentChar(code[j])) ++j;
-      name = code.substr(s, j - s);
-      if (code.compare(j, 2, "::") == 0) {
-        j += 2;
-      } else {
-        break;
-      }
-    }
-    if (name.empty() || deny.count(name) != 0) continue;
-    skip_space();
-    if (j < code.size() && code[j] == '(') names->insert(name);
-  }
-}
-
-// --- Statement scanning (discarded-status) ---------------------------------
-
-struct Statement {
-  size_t offset = 0;  // offset of the first non-space char in the cleaned text
-  std::string text;
-};
-
-// Splits cleaned code into statements: boundaries are `;` outside parens,
-// and every `{` / `}`. Paren depth is saved across `{` so lambda bodies
-// nested inside call arguments are segmented like any other code.
-std::vector<Statement> SplitStatements(const std::string& code) {
-  std::vector<Statement> statements;
-  std::vector<int> saved_depth;
-  int depth = 0;
-  size_t start = 0;
-  auto flush = [&](size_t end) {
-    size_t b = start;
-    while (b < end &&
-           std::isspace(static_cast<unsigned char>(code[b])) != 0) {
-      ++b;
-    }
-    if (b < end) statements.push_back({b, code.substr(b, end - b)});
-  };
-  for (size_t i = 0; i < code.size(); ++i) {
-    const char c = code[i];
-    if (c == '(' || c == '[') {
-      ++depth;
-    } else if (c == ')' || c == ']') {
-      if (depth > 0) --depth;
-    } else if (c == '{') {
-      flush(i);
-      saved_depth.push_back(depth);
-      depth = 0;
-      start = i + 1;
-    } else if (c == '}') {
-      flush(i);
-      if (!saved_depth.empty()) {
-        depth = saved_depth.back();
-        saved_depth.pop_back();
-      }
-      start = i + 1;
-    } else if (c == ';' && depth == 0) {
-      flush(i);
-      start = i + 1;
-    }
-  }
-  flush(code.size());
-  return statements;
-}
-
-// Strips leading control-flow so `if (cond) Foo()` exposes `Foo()`.
-// Repeats for `else if (...)` chains; returns the remainder.
-std::string StripControlPrefix(std::string stmt) {
-  for (;;) {
-    size_t b = stmt.find_first_not_of(" \t\n\r");
-    if (b == std::string::npos) return "";
-    stmt = stmt.substr(b);
-    if (StartsWith(stmt, "else")) {
-      if (stmt.size() == 4 || !IsIdentChar(stmt[4])) {
-        stmt = stmt.substr(4);
-        continue;
-      }
-    }
-    bool stripped = false;
-    for (const char* kw : {"if", "for", "while", "switch"}) {
-      const size_t n = std::char_traits<char>::length(kw);
-      if (StartsWith(stmt, kw) &&
-          (stmt.size() == n || !IsIdentChar(stmt[n]))) {
-        // Skip the keyword and its balanced (...) group.
-        size_t j = n;
-        while (j < stmt.size() && stmt[j] != '(') ++j;
-        int depth = 0;
-        while (j < stmt.size()) {
-          if (stmt[j] == '(') ++depth;
-          if (stmt[j] == ')') {
-            --depth;
-            if (depth == 0) {
-              ++j;
-              break;
-            }
-          }
-          ++j;
-        }
-        stmt = stmt.substr(j);
-        stripped = true;
-        break;
-      }
-    }
-    if (!stripped) return stmt;
-  }
-}
-
-// If `stmt` is a bare call expression `a::b.c->Callee(...)`, returns the
-// callee name; empty otherwise.
-std::string BareCallName(const std::string& stmt) {
-  size_t i = 0;
-  auto skip_space = [&] {
-    while (i < stmt.size() &&
-           std::isspace(static_cast<unsigned char>(stmt[i])) != 0) {
-      ++i;
-    }
-  };
-  skip_space();
-  std::string name;
-  for (;;) {
-    if (i >= stmt.size() || !IsIdentChar(stmt[i])) return "";
-    size_t s = i;
-    while (i < stmt.size() && IsIdentChar(stmt[i])) ++i;
-    name = stmt.substr(s, i - s);
-    skip_space();
-    if (i < stmt.size() && stmt.compare(i, 2, "::") == 0) {
-      i += 2;
-    } else if (i < stmt.size() && stmt.compare(i, 2, "->") == 0) {
-      i += 2;
-    } else if (i < stmt.size() && stmt[i] == '.') {
-      i += 1;
-    } else {
-      break;
-    }
-    skip_space();
-  }
-  if (i >= stmt.size() || stmt[i] != '(') return "";
-  // The whole remaining statement must be the call (plus chained member
-  // calls): it must end on a ')' with balanced parens and contain no
-  // assignment at depth 0.
-  int depth = 0;
-  size_t last_non_space = std::string::npos;
-  for (; i < stmt.size(); ++i) {
-    const char c = stmt[i];
-    if (c == '(') ++depth;
-    if (c == ')') --depth;
-    if (depth == 0 && c == '=' &&
-        (i + 1 >= stmt.size() || stmt[i + 1] != '=') &&
-        (i == 0 || (stmt[i - 1] != '=' && stmt[i - 1] != '!' &&
-                    stmt[i - 1] != '<' && stmt[i - 1] != '>'))) {
-      return "";  // assignment: the result is consumed
-    }
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      last_non_space = i;
-    }
-  }
-  if (depth != 0) return "";
-  if (last_non_space == std::string::npos || stmt[last_non_space] != ')') {
-    return "";
-  }
-  return name;
-}
-
-bool IsVoidCast(const std::string& stmt) {
-  size_t b = stmt.find_first_not_of(" \t\n\r");
-  if (b == std::string::npos) return false;
-  return stmt.compare(b, 6, "(void)") == 0 ||
-         stmt.compare(b, 17, "static_cast<void>") == 0;
-}
-
-bool StartsWithKeyword(const std::string& stmt, const char* kw) {
-  size_t b = stmt.find_first_not_of(" \t\n\r");
-  if (b == std::string::npos) return false;
-  const size_t n = std::char_traits<char>::length(kw);
-  return stmt.compare(b, n, kw) == 0 &&
-         (b + n >= stmt.size() || !IsIdentChar(stmt[b + n]));
-}
-
 // --- Token rules (no-abort / determinism / raw-logging) --------------------
 
 struct TokenRule {
@@ -634,18 +393,14 @@ LintReport LintSources(const std::vector<SourceFile>& files,
   LintReport report;
   report.files_scanned = static_cast<int>(files.size());
 
-  // Pass 1: clean every file once, build the cross-file Status symbol
-  // table and the set of header paths (for include-hygiene).
+  // Pass 1: clean every file once and collect the set of paths (for
+  // include-hygiene).
   std::vector<CleanedSource> cleaned(files.size());
-  std::set<std::string> status_functions;
   std::set<std::string> known_paths;
   for (size_t i = 0; i < files.size(); ++i) {
     cleaned[i] = CleanSource(files[i].text);
-    CollectStatusFunctions(cleaned[i].code, &status_functions);
     known_paths.insert(files[i].path);
   }
-  report.status_functions.assign(status_functions.begin(),
-                                 status_functions.end());
 
   std::vector<Finding> raw_findings;
 
@@ -653,27 +408,6 @@ LintReport LintSources(const std::vector<SourceFile>& files,
   for (size_t i = 0; i < files.size(); ++i) {
     const std::string& path = files[i].path;
     const std::string& code = cleaned[i].code;
-
-    // cgnp-discarded-status (everywhere).
-    for (const Statement& stmt : SplitStatements(code)) {
-      if (IsVoidCast(stmt.text)) continue;
-      if (StartsWithKeyword(stmt.text, "return") ||
-          StartsWithKeyword(stmt.text, "co_return")) {
-        continue;
-      }
-      const std::string body = StripControlPrefix(stmt.text);
-      const std::string callee = BareCallName(body);
-      if (callee.empty() || status_functions.count(callee) == 0) continue;
-      // Offset of the callee within the original statement locates the
-      // finding on the right line of a multi-line statement.
-      const size_t rel = stmt.text.find(callee);
-      const size_t at = stmt.offset + (rel == std::string::npos ? 0 : rel);
-      raw_findings.push_back(
-          {path, LineOfOffset(code, at), kRuleDiscardedStatus,
-           "result of Status-returning call '" + callee +
-               "' is discarded; handle it, propagate it "
-               "(CGNP_RETURN_IF_ERROR) or cast to (void) with a reason"});
-    }
 
     // cgnp-no-abort (user-input-reachable layers).
     if (PathMatches(path, config.abort_free_paths)) {
@@ -896,8 +630,6 @@ std::string FormatReport(const LintReport& report, bool verbose) {
     }
   }
   if (verbose) {
-    out << "status-returning functions resolved: "
-        << report.status_functions.size() << "\n";
     for (const auto& s : report.suppressions) {
       if (s.used) {
         out << "  suppressed at " << s.file << ":" << s.line << " ["

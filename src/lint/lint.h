@@ -2,13 +2,10 @@
 //
 // The compiler enforces types; reviewers used to enforce everything else.
 // This library mechanises the reviewer half -- the project rules that keep
-// "a corrupt file or a skipped Status can never abort the server" true:
+// "a corrupt file can never abort the server" true. (A discarded Status is
+// the compiler's job: Status/StatusOr are [[nodiscard]] and every build
+// passes -Werror=unused-result.)
 //
-//   cgnp-discarded-status   no call to a declared Status/StatusOr-returning
-//                           function may discard its result. Declarations
-//                           are collected across every scanned file (.h and
-//                           .cc), so a caller in serve/ discarding a Status
-//                           declared in graph/format.h is caught.
 //   cgnp-no-abort           no CGNP_CHECK / abort / exit / throw / assert in
 //                           user-input-reachable layers (src/serve/,
 //                           src/cs/, the binary parsers, src/bench/): bad
@@ -34,8 +31,8 @@
 //                           scalar fallback cannot rot.
 //
 // The checker is lexical, not a C++ front end: comments, string literals
-// and preprocessor directives are blanked before any rule runs, calls are
-// recognised per statement, and every rule supports per-line
+// and preprocessor directives are blanked before any rule runs, and every
+// rule supports per-line
 //   // NOLINT(cgnp-<rule>): <one-line justification>
 // (or NOLINTNEXTLINE) suppressions. Suppressions are budgeted: the report
 // counts them per rule, and a suppression without a justification text is
@@ -67,7 +64,7 @@ struct SourceFile {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;  // "cgnp-discarded-status" etc.
+  std::string rule;  // "cgnp-no-abort" etc.
   std::string message;
 };
 
@@ -108,16 +105,13 @@ struct LintConfig {
   std::vector<std::string> intrinsics_exempt = {
       "src/tensor/simd.h", "src/tensor/simd.cc",
   };
-  // cgnp-discarded-status and cgnp-include-hygiene run everywhere.
+  // cgnp-include-hygiene runs everywhere.
 };
 
 struct LintReport {
   std::vector<Finding> findings;
   std::vector<SuppressionNote> suppressions;
   int files_scanned = 0;
-  // Status/StatusOr-returning function names resolved across all files
-  // (exposed for tests and --verbose).
-  std::vector<std::string> status_functions;
 
   bool clean() const { return findings.empty(); }
   // Budget: used suppressions per rule.

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -59,9 +60,11 @@ unsigned ShardIndexSlow() {
 }  // namespace internal
 
 const std::vector<double>& DefaultLatencyBucketsMs() {
-  static const std::vector<double>* buckets = new std::vector<double>{
-      0.005, 0.01, 0.025, 0.05, 0.1,  0.25,  0.5,   1.0,    2.5,    5.0,
-      10.0,  25.0, 50.0,  100.0, 250.0, 500.0, 1000.0, 2500.0, 10000.0};
+  static const std::vector<double>* buckets = [] {
+    auto* b = new std::vector<double>();
+    for (int i = 0; i <= 192; ++i) b->push_back(0.001 * std::exp2(i / 8.0));
+    return b;
+  }();
   return *buckets;
 }
 
@@ -98,13 +101,14 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::RecordAlways(double v) {
-  size_t bucket = bounds_.size();  // overflow slot
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
+  // First bound >= v; every comparison with NaN is false, so route it to
+  // the overflow slot explicitly.
+  const size_t bucket =
+      std::isnan(v)
+          ? bounds_.size()
+          : static_cast<size_t>(
+                std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+                bounds_.begin());
   Shard& shard = shards_[internal::ShardIndex()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
   internal::AtomicAddDouble(&shard.sum, v);

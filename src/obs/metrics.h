@@ -138,8 +138,11 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-// Default latency buckets (milliseconds), 5us .. 10s. Chosen once for the
-// whole library so dashboards can aggregate across metrics.
+// Default latency buckets (milliseconds): 0.001 * 2^(i/8) for i = 0..192,
+// 1 us .. 16.8 s. Neighbouring bounds differ by 2^(1/8), so every bucket
+// above 1 us is at most 9.1% wide -- the relative error bound of
+// ApproxQuantile for values in that range. Chosen once for the whole
+// library so dashboards can aggregate across metrics.
 const std::vector<double>& DefaultLatencyBucketsMs();
 
 struct HistogramSnapshot {
@@ -148,13 +151,15 @@ struct HistogramSnapshot {
   double sum = 0;
   uint64_t count = 0;
 
-  // Linear interpolation inside the winning bucket; 0 when empty. Exact
-  // enough for p50/p90 reporting (the bucket layout bounds the error).
+  // Linear interpolation inside the bucket holding the rank-ceil(q*count)
+  // sample; 0 when empty. The estimate stays inside that sample's bucket,
+  // so its relative error is at most the bucket's width (<= 9.1% on the
+  // default layout).
   double ApproxQuantile(double q) const;
 };
 
-// Fixed-bucket histogram. Record is lock-free: bucket search is a linear
-// scan over ~20 bounds, then one relaxed fetch_add on this thread's shard.
+// Fixed-bucket histogram. Record is lock-free: a binary search over the
+// bounds, then one relaxed fetch_add on this thread's shard.
 class Histogram {
  public:
   // `bounds` are upper bucket bounds in ascending order; an implicit
@@ -172,6 +177,13 @@ class Histogram {
 #endif
   }
 
+  // Records whatever obs::Enabled() says and whether or not the record
+  // path is compiled in: for histograms that back an API contract (the
+  // QueryServer stats window) rather than telemetry. A value exactly on a
+  // bound lands in that bound's bucket; NaN and values above the top
+  // bound land in the overflow bucket.
+  void RecordAlways(double v);
+
   HistogramSnapshot Snapshot() const;
   uint64_t Count() const;
   double Sum() const;
@@ -179,8 +191,6 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
 
  private:
-  void RecordAlways(double v);
-
   struct alignas(64) Shard {
     std::unique_ptr<std::atomic<uint64_t>[]> counts;  // bounds+1 slots
     std::atomic<double> sum{0};

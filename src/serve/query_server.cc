@@ -13,19 +13,6 @@
 namespace cgnp {
 namespace serve {
 
-namespace {
-
-double PercentileOf(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double idx = p * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-}  // namespace
-
 StatusOr<std::shared_ptr<const Graph>> OpenMappedGraph(
     const std::string& path) {
   CGNP_ASSIGN_OR_RETURN(Graph g, MapGraphBinary(path));
@@ -42,9 +29,7 @@ QueryServer::QueryServer(std::unique_ptr<CommunitySearcher> backend,
       backend_name_(options.backend),
       options_(std::move(options)),
       cache_(options_.cache_capacity),
-      pool_(options_.num_threads),
-      latency_reservoir_(static_cast<size_t>(
-          std::max<int64_t>(1, options_.latency_reservoir))) {
+      pool_(options_.num_threads) {
   // Resolve the per-backend registry metrics once; recording through the
   // cached pointers is sharded and lock-free.
   auto& reg = obs::MetricsRegistry::Default();
@@ -146,14 +131,7 @@ void QueryServer::RecordStages(const std::vector<obs::StageTiming>& stages) {
           "cgnp_serve_stage_ms",
           {{"backend", backend_name_}, {"stage", st.name}});
     }
-    ++acc.count;
-    acc.total_ms += st.ms;
-    if (acc.samples.size() < latency_reservoir_) {
-      acc.samples.push_back(st.ms);
-    } else {
-      acc.samples[acc.next] = st.ms;
-      acc.next = (acc.next + 1) % latency_reservoir_;
-    }
+    acc.window.RecordAlways(st.ms);
     acc.global->Record(st.ms);
   }
 }
@@ -198,17 +176,11 @@ SearchResponse QueryServer::Serve(const SearchRequest& request) {
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    if (latencies_ms_.size() < latency_reservoir_) {
-      latencies_ms_.push_back(resp.latency_ms);
-    } else {
-      latencies_ms_[latency_next_] = resp.latency_ms;
-      latency_next_ = (latency_next_ + 1) % latency_reservoir_;
-    }
+    latency_ms_.RecordAlways(resp.latency_ms);
     ++stat_requests_;
     if (!resp.status.ok()) ++stat_errors_;
     if (resp.cache_hit) ++stat_cache_hits_;
     if (resp.cache_eligible) ++stat_cache_eligible_;
-    // Running extremes, independent of the bounded reservoir above.
     if (stat_requests_ == 1) {
       stat_min_ms_ = stat_max_ms_ = resp.latency_ms;
     } else {
@@ -277,7 +249,7 @@ std::vector<SearchResponse> QueryServer::ServeBatch(
 ServerStats QueryServer::Stats() const {
   ServerStats s;
   s.backend = backend_name_;
-  std::vector<double> sorted;
+  obs::HistogramSnapshot latency;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     s.requests = stat_requests_;
@@ -292,17 +264,16 @@ ServerStats QueryServer::Stats() const {
     // The cache counts displacements over its lifetime; window against
     // the snapshot taken at the last ResetStats.
     s.cache_evictions = cache_.evictions() - cache_evictions_at_reset_;
-    sorted = latencies_ms_;
+    latency = latency_ms_.Snapshot();
     for (const auto& [stage, acc] : stage_accums_) {
-      if (acc.count == 0) continue;
+      const obs::HistogramSnapshot snap = acc.window.Snapshot();
+      if (snap.count == 0) continue;
       StageStats ss;
       ss.stage = stage;
-      ss.count = acc.count;
-      ss.total_ms = acc.total_ms;
-      ss.mean_ms = acc.total_ms / static_cast<double>(acc.count);
-      std::vector<double> samples = acc.samples;
-      std::sort(samples.begin(), samples.end());
-      ss.p50_ms = PercentileOf(samples, 0.50);
+      ss.count = snap.count;
+      ss.total_ms = snap.sum;
+      ss.mean_ms = snap.sum / static_cast<double>(snap.count);
+      ss.p50_ms = snap.ApproxQuantile(0.50);
       s.stages.push_back(std::move(ss));
     }
     if (window_open_ && s.requests > 0) {
@@ -319,22 +290,22 @@ ServerStats QueryServer::Stats() const {
                          ? static_cast<double>(s.cache_hits) /
                                static_cast<double>(s.cache_eligible)
                          : 0.0;
-  if (!sorted.empty()) {
-    std::sort(sorted.begin(), sorted.end());
-    double sum = 0;
-    for (double v : sorted) sum += v;
-    s.mean_ms = sum / static_cast<double>(sorted.size());
-    s.p50_ms = PercentileOf(sorted, 0.50);
-    s.p90_ms = PercentileOf(sorted, 0.90);
-    s.p99_ms = PercentileOf(sorted, 0.99);
+  if (latency.count > 0) {
+    s.mean_ms = latency.sum / static_cast<double>(latency.count);
+    // The exact extremes tighten the bucket interpolation at both ends.
+    const auto quantile = [&](double q) {
+      return std::clamp(latency.ApproxQuantile(q), s.min_ms, s.max_ms);
+    };
+    s.p50_ms = quantile(0.50);
+    s.p90_ms = quantile(0.90);
+    s.p99_ms = quantile(0.99);
   }
   return s;
 }
 
 void QueryServer::ResetStats() {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  latencies_ms_.clear();
-  latency_next_ = 0;
+  latency_ms_.Reset();
   stat_requests_ = 0;
   stat_errors_ = 0;
   stat_cache_hits_ = 0;
@@ -344,7 +315,7 @@ void QueryServer::ResetStats() {
   stat_cache_retained_ = 0;
   stat_min_ms_ = stat_max_ms_ = 0.0;
   cache_evictions_at_reset_ = cache_.evictions();
-  stage_accums_.clear();
+  for (auto& entry : stage_accums_) entry.second.window.Reset();
   window_open_ = false;
   window_start_ = window_end_ = std::chrono::steady_clock::time_point{};
 }

@@ -109,7 +109,9 @@ struct SearchResponse {
 };
 
 // Per-stage latency summary over the serving window, aggregated from the
-// depth-0 spans of every traced request.
+// depth-0 spans of every traced request. count/mean/total are exact;
+// p50_ms comes from the stage's histogram (within 9.1%, see
+// obs::DefaultLatencyBucketsMs).
 struct StageStats {
   std::string stage;
   uint64_t count = 0;
@@ -139,13 +141,14 @@ struct ServerStats {
   uint64_t cache_invalidated = 0;
   uint64_t cache_retained = 0;
   double qps = 0.0;             // requests / wall-time over the serving window
+  // Latency over the whole window. mean_ms is exact; the percentiles come
+  // from a histogram (within 9.1% of the exact order statistic, see
+  // obs::DefaultLatencyBucketsMs) clamped to [min_ms, max_ms].
   double mean_ms = 0.0;
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double p99_ms = 0.0;
-  // Running extremes over the WHOLE window, tracked independently of the
-  // bounded percentile reservoir -- the true max cannot be rotated out by
-  // reservoir wraparound.
+  // Exact running extremes over the window.
   double min_ms = 0.0;
   double max_ms = 0.0;
   // Per-stage breakdown (task_build / cache_lookup / encode / decode /
@@ -177,10 +180,6 @@ struct ServeOptions {
   TaskConfig tasks;
   int64_t attribute_dim = 0;
   uint64_t seed = 7;
-  // Size of the bounded latency reservoir behind the Stats() percentiles
-  // (most recent N requests). Counters and min/max always cover the whole
-  // window regardless.
-  int64_t latency_reservoir = 16384;
 };
 
 // Opens a binary graph container (docs/GRAPH_FORMAT.md) for serving: the
@@ -276,14 +275,14 @@ class QueryServer {
   };
   BackendMetrics metrics_;
 
-  // Serving-window stats; guarded by stats_mu_. Latency samples live in a
-  // bounded ring (most recent `options_.latency_reservoir` requests) so a
-  // long-lived server's memory and Stats() cost stay constant; counters
-  // and the min/max extremes cover the whole window.
-  const size_t latency_reservoir_;
+  // Serving-window stats, guarded by stats_mu_: each request records all
+  // of its window state under one lock, so it lands wholly inside one
+  // ResetStats window. Latency samples live only in this server's own
+  // (unregistered) histograms, recorded with RecordAlways so the window
+  // counts with the obs layer off; memory and Stats() cost are constant
+  // in the window length.
   mutable std::mutex stats_mu_;
-  std::vector<double> latencies_ms_;  // ring once full
-  size_t latency_next_ = 0;           // ring write position
+  obs::Histogram latency_ms_;
   uint64_t stat_requests_ = 0;
   uint64_t stat_errors_ = 0;
   uint64_t stat_cache_hits_ = 0;
@@ -299,14 +298,11 @@ class QueryServer {
   std::chrono::steady_clock::time_point window_start_{};
   std::chrono::steady_clock::time_point window_end_{};
   bool window_open_ = false;
-  // Per-server per-stage accumulators for the window, keyed by stage
-  // name; guarded by stats_mu_ alongside the counters above. Samples are
-  // a bounded ring like latencies_ms_; count/total cover the window.
+  // Per-server per-stage window histograms, keyed by stage name; guarded
+  // by stats_mu_ alongside the counters above. Created on first sighting
+  // of a stage and zeroed (not dropped) by ResetStats.
   struct StageAccum {
-    uint64_t count = 0;
-    double total_ms = 0.0;
-    std::vector<double> samples;  // ring once full
-    size_t next = 0;
+    obs::Histogram window;
     // Global cgnp_serve_stage_ms{backend,stage} histogram, resolved on
     // first sighting of the stage so steady state never hits the
     // registry mutex.

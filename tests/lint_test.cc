@@ -1,7 +1,7 @@
 // Drives every cgnp_lint rule (src/lint/lint.h) over synthetic snippets --
-// positive, negative, NOLINT-suppressed, and cross-file Status resolution
-// -- then self-checks that the shipped tree is clean, so a lint regression
-// fails ctest even before CI's static-analysis job sees it.
+// positive, negative and NOLINT-suppressed -- then self-checks that the
+// shipped tree is clean, so a lint regression fails ctest even before CI's
+// static-analysis job sees it.
 #include "lint/lint.h"
 
 #include <algorithm>
@@ -23,75 +23,6 @@ bool HasFinding(const LintReport& report, const std::string& rule,
                        return f.rule == rule && f.file == file &&
                               (line == 0 || f.line == line);
                      });
-}
-
-// --- cgnp-discarded-status --------------------------------------------------
-
-TEST(DiscardedStatus, FlagsDiscardedCallAndResolvesAcrossFiles) {
-  // Declaration in one file, discarding caller in another.
-  const Files files = {
-      {"src/graph/io.h", "Status SaveThing(const std::string& path);\n"},
-      {"src/serve/user.cc",
-       "void Handle() {\n"
-       "  SaveThing(\"p\");\n"  // discarded -> finding
-       "}\n"},
-  };
-  const LintReport report = LintSources(files);
-  EXPECT_TRUE(HasFinding(report, "cgnp-discarded-status", "src/serve/user.cc", 2))
-      << FormatReport(report, /*verbose=*/true);
-  EXPECT_NE(std::find(report.status_functions.begin(),
-                      report.status_functions.end(), "SaveThing"),
-            report.status_functions.end());
-}
-
-TEST(DiscardedStatus, AcceptsConsumedResults) {
-  const Files files = {
-      {"src/graph/io.h",
-       "Status SaveThing(const std::string& path);\n"
-       "StatusOr<int> LoadThing(const std::string& path);\n"},
-      {"src/serve/user.cc",
-       "Status Handle() {\n"
-       "  Status s = SaveThing(\"p\");\n"
-       "  CGNP_RETURN_IF_ERROR(SaveThing(\"q\"));\n"
-       "  if (!SaveThing(\"r\").ok()) return s;\n"
-       "  auto v = LoadThing(\"p\");\n"
-       "  return SaveThing(\"t\");\n"
-       "}\n"},
-  };
-  const LintReport report = LintSources(files);
-  EXPECT_TRUE(report.clean()) << FormatReport(report, /*verbose=*/true);
-}
-
-TEST(DiscardedStatus, NolintSuppressesWithJustification) {
-  const Files files = {
-      {"src/graph/io.h", "Status SaveThing(const std::string& path);\n"},
-      {"src/serve/user.cc",
-       "void Handle() {\n"
-       "  SaveThing(\"p\");  // NOLINT(cgnp-discarded-status): best-effort\n"
-       "}\n"},
-  };
-  const LintReport report = LintSources(files);
-  EXPECT_TRUE(report.clean()) << FormatReport(report, /*verbose=*/true);
-  ASSERT_EQ(report.suppressions.size(), 1u);
-  EXPECT_TRUE(report.suppressions[0].used);
-  EXPECT_TRUE(report.suppressions[0].justified);
-  const auto budget = report.SuppressionBudget();
-  EXPECT_EQ(budget.at("cgnp-discarded-status"), 1);
-}
-
-TEST(DiscardedStatus, UnjustifiedNolintIsItselfAFinding) {
-  const Files files = {
-      {"src/graph/io.h", "Status SaveThing(const std::string& path);\n"},
-      {"src/serve/user.cc",
-       "void Handle() {\n"
-       "  SaveThing(\"p\");  // NOLINT(cgnp-discarded-status)\n"
-       "}\n"},
-  };
-  const LintReport report = LintSources(files);
-  EXPECT_TRUE(
-      HasFinding(report, "cgnp-nolint-justification", "src/serve/user.cc", 2))
-      << FormatReport(report, /*verbose=*/true);
-  EXPECT_FALSE(HasFinding(report, "cgnp-discarded-status", "src/serve/user.cc"));
 }
 
 // --- cgnp-no-abort ----------------------------------------------------------
@@ -124,6 +55,36 @@ TEST(NoAbort, NolintNextlineCoversTheLineBelow) {
   };
   const LintReport report = LintSources(files);
   EXPECT_TRUE(report.clean()) << FormatReport(report, /*verbose=*/true);
+}
+
+TEST(NoAbort, NolintSuppressesWithJustification) {
+  const Files files = {
+      {"src/serve/user.cc",
+       "void Handle(int k) {\n"
+       "  CGNP_CHECK_GE(k, 0);  // NOLINT(cgnp-no-abort): k is a loop index\n"
+       "}\n"},
+  };
+  const LintReport report = LintSources(files);
+  EXPECT_TRUE(report.clean()) << FormatReport(report, /*verbose=*/true);
+  ASSERT_EQ(report.suppressions.size(), 1u);
+  EXPECT_TRUE(report.suppressions[0].used);
+  EXPECT_TRUE(report.suppressions[0].justified);
+  const auto budget = report.SuppressionBudget();
+  EXPECT_EQ(budget.at("cgnp-no-abort"), 1);
+}
+
+TEST(NoAbort, UnjustifiedNolintIsItselfAFinding) {
+  const Files files = {
+      {"src/serve/user.cc",
+       "void Handle(int k) {\n"
+       "  CGNP_CHECK_GE(k, 0);  // NOLINT(cgnp-no-abort)\n"
+       "}\n"},
+  };
+  const LintReport report = LintSources(files);
+  EXPECT_TRUE(
+      HasFinding(report, "cgnp-nolint-justification", "src/serve/user.cc", 2))
+      << FormatReport(report, /*verbose=*/true);
+  EXPECT_FALSE(HasFinding(report, "cgnp-no-abort", "src/serve/user.cc"));
 }
 
 // --- cgnp-determinism -------------------------------------------------------

@@ -3,11 +3,14 @@
 // structured log lines, exporter round-trips, and the acceptance criteria
 // from the serving integration (stage coverage, honest cache accounting,
 // running min/max).
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -84,14 +87,48 @@ TEST(HistogramTest, CountsSumAndQuantiles) {
   EXPECT_LE(snap.ApproxQuantile(0.75), 10.0);
 }
 
+#endif  // CGNP_OBS_ENABLED
+
+// RecordAlways ignores the kill switch and the compile-out, so the bucket
+// layout tests run in every build.
 TEST(HistogramTest, OverflowBucketCatchesLargeValues) {
-  Histogram h({1.0});
-  h.Record(1e9);
+  Histogram h;
+  h.RecordAlways(1e9);
+  h.RecordAlways(std::numeric_limits<double>::infinity());
+  h.RecordAlways(std::nan(""));  // compares false with every bound
   const auto snap = h.Snapshot();
-  EXPECT_EQ(snap.bucket_counts.back(), 1u);
-  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.bucket_counts.back(), 3u);
+  EXPECT_EQ(snap.count, 3u);
 }
 
+TEST(HistogramTest, ValueOnABoundLandsInThatBoundsBucket) {
+  Histogram h;  // default layout
+  const std::vector<double>& bounds = h.bounds();
+  for (double b : bounds) h.RecordAlways(b);
+  h.RecordAlways(std::nextafter(bounds[0], 1.0));  // just above: bucket 1
+  const auto snap = h.Snapshot();
+  ASSERT_EQ(snap.bucket_counts.size(), bounds.size() + 1);
+  EXPECT_EQ(snap.bucket_counts[0], 1u);
+  EXPECT_EQ(snap.bucket_counts[1], 2u);
+  for (size_t i = 2; i < bounds.size(); ++i) {
+    EXPECT_EQ(snap.bucket_counts[i], 1u) << "bound " << bounds[i];
+  }
+  EXPECT_EQ(snap.bucket_counts.back(), 0u);
+}
+
+TEST(HistogramTest, DefaultLayoutIsFineGrainedAndAscending) {
+  const std::vector<double>& bounds = obs::DefaultLatencyBucketsMs();
+  ASSERT_EQ(bounds.size(), 193u);
+  EXPECT_DOUBLE_EQ(bounds.front(), 0.001);              // 1 us
+  EXPECT_DOUBLE_EQ(bounds.back(), 0.001 * (1 << 24));  // 16.8 s
+  const double max_ratio = std::exp2(1.0 / 8.0) * (1 + 1e-12);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_GT(bounds[i], bounds[i - 1]);
+    EXPECT_LE(bounds[i] / bounds[i - 1], max_ratio) << "bound " << i;
+  }
+}
+
+#if CGNP_OBS_ENABLED
 TEST(MetricsRegistryTest, SameNameAndLabelsReturnSameObject) {
   MetricsRegistry reg;
   Counter& a = reg.GetCounter("cgnp_test_total", {{"k", "v"}});
@@ -448,15 +485,13 @@ TEST(ServeObsTest, HitRateCountsOnlyEligibleRequests) {
   EXPECT_DOUBLE_EQ(stats.cache_hit_rate, 0.0);
 }
 
-// Satellite: the reported max (and min) must survive latency-reservoir
-// wraparound -- they are running extremes over the whole window, not
-// whatever happens to remain in the percentile ring.
-TEST(ServeObsTest, MinMaxSurviveReservoirWraparound) {
+// The reported min and max are exact running extremes over the window,
+// and the clamped percentiles never exceed them.
+TEST(ServeObsTest, MinMaxAreExactRunningExtremes) {
   const Graph g = PlantedGraph();
   ServeOptions opt;
   opt.backend = "kcore";
   opt.num_threads = 1;
-  opt.latency_reservoir = 4;  // tiny ring: wraps after 4 requests
   auto server = QueryServer::Create(nullptr, opt);
   ASSERT_TRUE(server.ok());
 
@@ -478,9 +513,44 @@ TEST(ServeObsTest, MinMaxSurviveReservoirWraparound) {
   EXPECT_EQ(stats.requests, 32u);
   EXPECT_DOUBLE_EQ(stats.min_ms, true_min);
   EXPECT_DOUBLE_EQ(stats.max_ms, true_max);
-  // The percentile reservoir only holds the last 4 samples; the running
-  // max must be at least whatever it reports.
   EXPECT_GE(stats.max_ms, stats.p99_ms);
+}
+
+// The histogram-backed percentiles stay within the documented 9.1% of the
+// exact order statistic of the same rank (ceil(q * n), the rank
+// HistogramSnapshot::ApproxQuantile interpolates in).
+TEST(ServeObsTest, PercentilesTrackExactOrderStatistics) {
+  const Graph g = PlantedGraph();
+  ServeOptions opt;
+  opt.backend = "kcore";
+  opt.num_threads = 1;
+  auto server = QueryServer::Create(nullptr, opt);
+  ASSERT_TRUE(server.ok());
+
+  constexpr int kRequests = 500;
+  std::vector<double> latencies;
+  for (int i = 0; i < kRequests; ++i) {
+    SearchRequest req;
+    req.graph = &g;
+    req.query = (i * 7) % g.num_nodes();
+    const SearchResponse resp = server.value()->Serve(req);
+    ASSERT_TRUE(resp.status.ok());
+    latencies.push_back(resp.latency_ms);
+  }
+  std::sort(latencies.begin(), latencies.end());
+  const ServerStats stats = server.value()->Stats();
+  ASSERT_EQ(stats.requests, uint64_t{kRequests});
+  const auto exact = [&](double q) {
+    const auto rank = static_cast<size_t>(std::ceil(q * kRequests));
+    return latencies[rank - 1];
+  };
+  for (const auto& [q, reported] : {std::pair{0.50, stats.p50_ms},
+                                    std::pair{0.90, stats.p90_ms},
+                                    std::pair{0.99, stats.p99_ms}}) {
+    const double want = exact(q);
+    EXPECT_LE(std::abs(reported - want), 0.091 * want)
+        << "q=" << q << " reported " << reported << " exact " << want;
+  }
 }
 
 TEST(ServeObsTest, ServerStatsToJsonRoundTrips) {

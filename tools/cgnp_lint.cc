@@ -8,7 +8,7 @@
 //
 //   --root=DIR   repo root to scan (default: current directory, falling
 //                back to the parent when invoked from build/)
-//   --verbose    also print resolved symbol counts and used suppressions
+//   --verbose    also print every used suppression
 //
 // Exit codes (CI contract, mirrored by tools/run_bench_tier.sh):
 //   0  tree is clean
