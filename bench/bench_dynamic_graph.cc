@@ -181,32 +181,38 @@ int main(int argc, char** argv) {
   std::printf("\n%-8s %14s %14s %12s\n", "depth", "incremental_ms",
               "rebuild_ms", "speedup");
   for (const int depth : {1, 16, 64}) {
-    auto index = DynamicCommunityIndex::Create(base).value();
     const auto edits =
         LocalEdits(*base, 0, base->num_nodes(), depth, opt.seed + 3);
-    const double inc_ms = TimeMs([&] {
-      for (const GraphEdit& e : edits) (void)index->Apply(e);
-    });
-    // The eager alternative rebuilds both indices from scratch at the
-    // final state -- what a static system pays PER BATCH to stay fresh.
-    const auto snapshot = index->Compact();
-    double rebuild_ms = 0;
-    rebuild_ms = TimeMs([&] {
-      auto rebuilt = DynamicCommunityIndex::Create(snapshot);
-      if (!rebuilt.ok()) std::fprintf(stderr, "rebuild failed\n");
-    });
-    const double per_edit = inc_ms / depth;
-    std::printf("%-8d %14.3f %14.3f %12.2f\n", depth, inc_ms, rebuild_ms,
-                per_edit > 0 ? rebuild_ms / per_edit : 0.0);
+    std::vector<double> inc_samples, rebuild_samples;
+    for (int rep = 0; rep < opt.repeats; ++rep) {
+      auto index = DynamicCommunityIndex::Create(base).value();
+      inc_samples.push_back(TimeMs([&] {
+        for (const GraphEdit& e : edits) (void)index->Apply(e);
+      }));
+      // The eager alternative rebuilds both indices from scratch at the
+      // final state -- what a static system pays PER BATCH to stay fresh.
+      const auto snapshot = index->Compact();
+      rebuild_samples.push_back(TimeMs([&] {
+        auto rebuilt = DynamicCommunityIndex::Create(snapshot);
+        if (!rebuilt.ok()) std::fprintf(stderr, "rebuild failed\n");
+      }));
+    }
+    const TimingStats inc = SummarizeSamples(std::move(inc_samples));
+    const TimingStats rebuild = SummarizeSamples(std::move(rebuild_samples));
+    const double per_edit = inc.median_ms / depth;
+    std::printf("%-8d %14.3f %14.3f %12.2f\n", depth, inc.median_ms,
+                rebuild.median_ms,
+                per_edit > 0 ? rebuild.median_ms / per_edit : 0.0);
     BenchRow row;
     row.case_name = "update_latency_d" + std::to_string(depth);
     row.dataset = "islands";
     row.backend = "incremental";
     row.threads = 1;
     row.scale = opt.scale_name();
-    row.AddMetric("incremental_ms", inc_ms);
-    row.AddMetric("per_edit_ms", per_edit);
-    row.AddMetric("rebuild_ms", rebuild_ms);
+    row.repeats = opt.repeats;
+    row.AddMetric("incremental_ms", inc.median_ms, inc.stddev_ms);
+    row.AddMetric("per_edit_ms", per_edit, inc.stddev_ms / depth);
+    row.AddMetric("rebuild_ms", rebuild.median_ms, rebuild.stddev_ms);
     row.AddMetric("applied", static_cast<double>(depth));
     opt.reporter->Add(std::move(row));
   }
@@ -217,44 +223,56 @@ int main(int argc, char** argv) {
     dopt.serve.backend = "kcore_inc";
     dopt.serve.num_threads = 1;
     dopt.compact_every = 32;
-    auto server = DynamicGraphServer::Create(nullptr, base, dopt).value();
-    Rng rng(opt.seed + 4);
     const int kOps = opt.paper_scale ? 2000 : 400;
     int updates = 0, queries = 0, errors = 0;
-    const double total_ms = TimeMs([&] {
-      for (int i = 0; i < kOps; ++i) {
-        if (rng.Bernoulli(0.2)) {
-          const NodeId u = rng.NextInt(base->num_nodes());
-          const NodeId v = rng.NextInt(base->num_nodes());
-          if (u != v) {
-            (void)server->InsertEdge(u, v);
-            ++updates;
+    DynamicGraphServer::DynamicStats dstats;
+    std::vector<double> qps_samples, total_samples;
+    // Each repeat replays the same seeded stream on a fresh server.
+    for (int rep = 0; rep < opt.repeats; ++rep) {
+      auto server = DynamicGraphServer::Create(nullptr, base, dopt).value();
+      Rng rng(opt.seed + 4);
+      updates = queries = errors = 0;
+      const double total_ms = TimeMs([&] {
+        for (int i = 0; i < kOps; ++i) {
+          if (rng.Bernoulli(0.2)) {
+            const NodeId u = rng.NextInt(base->num_nodes());
+            const NodeId v = rng.NextInt(base->num_nodes());
+            if (u != v) {
+              (void)server->InsertEdge(u, v);
+              ++updates;
+            }
+          } else {
+            SearchRequest req;
+            req.query = rng.NextInt(base->num_nodes());
+            if (!server->Serve(req).status.ok()) ++errors;
+            ++queries;
           }
-        } else {
-          SearchRequest req;
-          req.query = rng.NextInt(base->num_nodes());
-          if (!server->Serve(req).status.ok()) ++errors;
-          ++queries;
         }
-      }
-    });
-    const auto dstats = server->dynamic_stats();
-    const double qps = total_ms > 0 ? queries / (total_ms / 1000.0) : 0.0;
+      });
+      dstats = server->dynamic_stats();
+      total_samples.push_back(total_ms);
+      qps_samples.push_back(total_ms > 0 ? queries / (total_ms / 1000.0)
+                                         : 0.0);
+    }
+    const TimingStats total = SummarizeSamples(std::move(total_samples));
+    // SummarizeSamples is unit-agnostic: median and stddev of the qps.
+    const TimingStats qps = SummarizeSamples(std::move(qps_samples));
     std::printf(
         "\ninterleaved: %d queries, %d updates (%llu applied, %llu "
         "compactions) in %.1f ms -- %.0f qps, %d errors\n",
         queries, updates, static_cast<unsigned long long>(
                               dstats.updates_applied),
-        static_cast<unsigned long long>(dstats.compactions), total_ms, qps,
-        errors);
+        static_cast<unsigned long long>(dstats.compactions), total.median_ms,
+        qps.median_ms, errors);
     BenchRow row;
     row.case_name = "interleaved_serve";
     row.dataset = "islands";
     row.backend = "kcore_inc";
     row.threads = 1;
     row.scale = opt.scale_name();
-    row.AddMetric("qps", qps);
-    row.AddMetric("total_ms", total_ms);
+    row.repeats = opt.repeats;
+    row.AddMetric("qps", qps.median_ms, qps.stddev_ms);
+    row.AddMetric("total_ms", total.median_ms, total.stddev_ms);
     row.AddMetric("queries", static_cast<double>(queries));
     row.AddMetric("errors", static_cast<double>(errors));
     row.AddMetric("compactions", static_cast<double>(dstats.compactions));

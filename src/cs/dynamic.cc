@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
-#include <unordered_set>
 
+#include "graph/algorithms.h"
 #include "graph/decomposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,6 +13,8 @@
 namespace cgnp {
 
 namespace {
+
+constexpr NodeId kNone = -1;  // no node: end of a level list
 
 void InsertSorted(std::vector<NodeId>* row, NodeId v) {
   row->insert(std::lower_bound(row->begin(), row->end(), v), v);
@@ -32,8 +35,8 @@ std::vector<NodeId> CommonNeighbors(const std::vector<NodeId>& a,
   return out;
 }
 
-std::vector<std::vector<NodeId>> MirrorAdjacency(const Graph& g) {
-  std::vector<std::vector<NodeId>> adj(static_cast<size_t>(g.num_nodes()));
+SortedAdjacency MirrorAdjacency(const Graph& g) {
+  SortedAdjacency adj(static_cast<size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto nb = g.Neighbors(v);
     adj[v].assign(nb.begin(), nb.end());
@@ -45,115 +48,276 @@ std::vector<std::vector<NodeId>> MirrorAdjacency(const Graph& g) {
 
 // --- IncrementalCoreIndex ---------------------------------------------------
 
-IncrementalCoreIndex::IncrementalCoreIndex(const Graph& base)
-    : adj_(MirrorAdjacency(base)) {
-  const std::vector<int32_t>& core = base.Cores().core;
-  core_.assign(core.begin(), core.end());
-}
-
-void IncrementalCoreIndex::OnInsert(NodeId u, NodeId v) {
-  InsertSorted(&adj_[u], v);
-  InsertSorted(&adj_[v], u);
-  const int64_t K = std::min(core_[u], core_[v]);
-  // Candidate region: K-class nodes reachable from the K-class endpoint(s)
-  // through K-class nodes. Only these can rise, and by at most one.
-  std::vector<NodeId> stack;
-  std::unordered_set<NodeId> cand;
-  if (core_[u] == K) {
-    cand.insert(u);
-    stack.push_back(u);
+IncrementalCoreIndex::IncrementalCoreIndex(const Graph& base) {
+  const int64_t n = base.num_nodes();
+  CorePeel peel = PeelCores(base);
+  core_ = std::move(peel.core);
+  deg_plus_.assign(n, 0);
+  label_.assign(n, 0);
+  prev_.assign(n, kNone);
+  next_.assign(n, kNone);
+  deg_star_.assign(n, 0);
+  mcd_.assign(n, -1);
+  state_.assign(n, kIdle);
+  const std::vector<NodeId>& order = peel.order;
+  const int64_t levels = n == 0 ? 1 : core_[order.back()] + 1;
+  head_.assign(levels, kNone);
+  tail_.assign(levels, kNone);
+  // The peel order is a k-order, and each level is one contiguous run of
+  // it; deg+ then counts the neighbours peeled later.
+  for (size_t i = 0, j = 0; i < order.size(); i = j) {
+    while (j < order.size() && core_[order[j]] == core_[order[i]]) ++j;
+    LinkRun(core_[order[i]], kNone, &order[i], j - i);
   }
-  if (core_[v] == K && cand.insert(v).second) stack.push_back(v);
-  while (!stack.empty()) {
-    const NodeId w = stack.back();
-    stack.pop_back();
-    for (const NodeId x : adj_[w]) {
-      if (core_[x] == K && cand.insert(x).second) stack.push_back(x);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId x : base.Neighbors(v)) {
+      if (Precedes(v, x)) ++deg_plus_[v];
     }
-  }
-  // cd[w]: neighbors able to support w at level K+1 -- those already above
-  // K plus fellow candidates (which would sit at K+1 if they survive).
-  std::unordered_map<NodeId, int64_t> cd;
-  cd.reserve(cand.size());
-  for (const NodeId w : cand) {
-    int64_t c = 0;
-    for (const NodeId x : adj_[w]) {
-      if (core_[x] > K || cand.count(x) > 0) ++c;
-    }
-    cd[w] = c;
-  }
-  // Peel: a candidate with support <= K cannot reach K+1; its drop may
-  // starve neighbors. Survivors rise.
-  std::deque<NodeId> peel;
-  std::unordered_set<NodeId> dropped;
-  for (const auto& [w, c] : cd) {
-    if (c <= K) peel.push_back(w);
-  }
-  while (!peel.empty()) {
-    const NodeId w = peel.front();
-    peel.pop_front();
-    if (!dropped.insert(w).second) continue;
-    for (const NodeId x : adj_[w]) {
-      const auto it = cd.find(x);
-      if (it == cd.end() || dropped.count(x) > 0) continue;
-      // Crossing K exactly is the moment x becomes unsustainable; values
-      // only decrease, so this fires at most once per node.
-      if (--it->second == K) peel.push_back(x);
-    }
-  }
-  for (const NodeId w : cand) {
-    if (dropped.count(w) == 0) core_[w] = K + 1;
   }
 }
 
-void IncrementalCoreIndex::OnDelete(NodeId u, NodeId v) {
-  EraseSorted(&adj_[u], v);
-  EraseSorted(&adj_[v], u);
-  const int64_t K = std::min(core_[u], core_[v]);
-  if (K == 0) return;  // a 0-core endpoint cannot drop further
-  // Same candidate region as insertion, computed on the post-delete
-  // adjacency: only K-class nodes connected to the endpoints through the
-  // K-class can fall, and only to K-1.
-  std::vector<NodeId> stack;
-  std::unordered_set<NodeId> cand;
-  if (core_[u] == K) {
-    cand.insert(u);
-    stack.push_back(u);
+bool IncrementalCoreIndex::Precedes(NodeId a, NodeId b) const {
+  return core_[a] != core_[b] ? core_[a] < core_[b] : label_[a] < label_[b];
+}
+
+void IncrementalCoreIndex::Unlink(int64_t k, NodeId w) {
+  (prev_[w] == kNone ? head_[k] : next_[prev_[w]]) = next_[w];
+  (next_[w] == kNone ? tail_[k] : prev_[next_[w]]) = prev_[w];
+  prev_[w] = next_[w] = kNone;
+}
+
+void IncrementalCoreIndex::LinkRun(int64_t k, NodeId after, const NodeId* run,
+                                   size_t m) {
+  const NodeId before = after == kNone ? head_[k] : next_[after];
+  NodeId last = after;
+  for (size_t i = 0; i < m; ++i) {
+    const NodeId w = run[i];
+    prev_[w] = last;
+    (last == kNone ? head_[k] : next_[last]) = w;
+    last = w;
   }
-  if (core_[v] == K && cand.insert(v).second) stack.push_back(v);
-  while (!stack.empty()) {
-    const NodeId w = stack.back();
-    stack.pop_back();
-    for (const NodeId x : adj_[w]) {
-      if (core_[x] == K && cand.insert(x).second) stack.push_back(x);
+  next_[last] = before;
+  (before == kNone ? tail_[k] : prev_[before]) = last;
+  // Labels live strictly inside (0, 2^64 - 1); split the gap evenly.
+  const uint64_t lo = after == kNone ? 0 : label_[after];
+  const uint64_t hi =
+      before == kNone ? std::numeric_limits<uint64_t>::max() : label_[before];
+  const uint64_t step = (hi - lo) / (m + 1);
+  if (step == 0) {
+    Relabel(k);
+    return;
+  }
+  for (size_t i = 0; i < m; ++i) label_[run[i]] = lo + step * (i + 1);
+}
+
+void IncrementalCoreIndex::Relabel(int64_t k) {
+  uint64_t size = 0;
+  for (NodeId w = head_[k]; w != kNone; w = next_[w]) ++size;
+  const uint64_t step = std::numeric_limits<uint64_t>::max() / (size + 1);
+  uint64_t label = 0;
+  for (NodeId w = head_[k]; w != kNone; w = next_[w]) label_[w] = label += step;
+}
+
+void IncrementalCoreIndex::OnInsert(const SortedAdjacency& adj, NodeId u,
+                                    NodeId v) {
+  if (Precedes(v, u)) std::swap(u, v);
+  const int64_t K = core_[u];
+  // v now follows u. While deg+(u) <= K the k-order still holds, and with
+  // it every core number.
+  if (++deg_plus_[u] <= K) return;
+  // u must leave O_K. Scan O_K forward from u in label order. A visited
+  // node x is a candidate for K+1 when deg*(x) + deg+(x) > K: the
+  // candidates before it would move behind it, so it cannot stay. Only
+  // nodes that gained a candidate neighbour can qualify; the heap holds
+  // exactly those, so the rest of O_K is never touched. A non-candidate
+  // settles in place, which takes it away from the candidates before it;
+  // a candidate left with deg* + deg+ <= K is evicted back into O_K.
+  const auto later = [this](NodeId a, NodeId b) {
+    return label_[a] > label_[b];
+  };
+  NodeId x = u;
+  state_[u] = kQueued;
+  touched_.push_back(u);
+  while (true) {
+    if (deg_star_[x] + deg_plus_[x] > K) {
+      state_[x] = kCandidate;
+      cand_.push_back(x);
+      for (const NodeId y : adj[x]) {
+        // Every visited node precedes x, so a later K-node is unvisited.
+        if (core_[y] != K || label_[y] < label_[x]) continue;
+        ++deg_star_[y];
+        if (state_[y] == kIdle) {
+          state_[y] = kQueued;
+          touched_.push_back(y);
+          heap_.push_back(y);
+          std::push_heap(heap_.begin(), heap_.end(), later);
+        }
+      }
+    } else {
+      // Settled at K: the candidates before x end up behind it.
+      state_[x] = kSettled;
+      deg_plus_[x] += deg_star_[x];
+      deg_star_[x] = 0;
+      for (const NodeId y : adj[x]) {
+        // Every candidate precedes x and counted it in deg+.
+        if (state_[y] == kCandidate && --deg_plus_[y] + deg_star_[y] <= K) {
+          state_[y] = kEvicting;
+          evict_.push_back(y);
+        }
+      }
+      Evict(adj, K, x);
+    }
+    if (heap_.empty()) break;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    x = heap_.back();
+    heap_.pop_back();
+  }
+  // Apply the new order: evicted candidates go behind their anchors in
+  // O_K, the survivors rise to K+1 at the head of O_{K+1}, scan order kept.
+  for (const NodeId w : cand_) Unlink(K, w);
+  for (size_t i = 0, j = 0; i < evicted_.size(); i = j) {
+    while (j < evicted_.size() && anchors_[j] == anchors_[i]) ++j;
+    LinkRun(K, anchors_[i], &evicted_[i], j - i);
+  }
+  size_t rising = 0;
+  for (const NodeId w : cand_) {
+    if (state_[w] != kCandidate) continue;
+    core_[w] = K + 1;
+    deg_star_[w] = 0;  // the candidates before w stay before it
+    cand_[rising++] = w;
+  }
+  if (rising > 0) {
+    if (static_cast<int64_t>(head_.size()) == K + 1) {
+      head_.push_back(kNone);
+      tail_.push_back(kNone);
+    }
+    LinkRun(K + 1, kNone, cand_.data(), rising);
+  }
+  for (const NodeId w : touched_) state_[w] = kIdle;
+  touched_.clear();
+  cand_.clear();
+  evicted_.clear();
+  anchors_.clear();
+}
+
+void IncrementalCoreIndex::Evict(const SortedAdjacency& adj, int64_t K,
+                                 NodeId anchor) {
+  // Each evicted candidate lands just behind `anchor` (after the ones
+  // evicted before it) and keeps K, so its deg+ becomes everything still
+  // able to rise or not yet visited. Its neighbours lose it as support.
+  while (!evict_.empty()) {
+    const NodeId w = evict_.back();
+    evict_.pop_back();
+    state_[w] = kSettled;
+    deg_plus_[w] += deg_star_[w];
+    deg_star_[w] = 0;
+    evicted_.push_back(w);
+    anchors_.push_back(anchor);
+    for (const NodeId y : adj[w]) {
+      if (core_[y] != K) continue;
+      if (state_[y] == kQueued) {
+        if (label_[y] > label_[w]) --deg_star_[y];
+      } else if (state_[y] == kCandidate || state_[y] == kEvicting) {
+        --(label_[y] < label_[w] ? deg_plus_[y] : deg_star_[y]);
+        if (state_[y] == kCandidate && deg_plus_[y] + deg_star_[y] <= K) {
+          state_[y] = kEvicting;
+          evict_.push_back(y);
+        }
+      }
     }
   }
-  // cd[w]: neighbors still able to support w at level K.
-  std::unordered_map<NodeId, int64_t> cd;
-  cd.reserve(cand.size());
-  for (const NodeId w : cand) {
-    int64_t c = 0;
-    for (const NodeId x : adj_[w]) {
-      if (core_[x] >= K) ++c;
+}
+
+int64_t& IncrementalCoreIndex::Mcd(const SortedAdjacency& adj, NodeId x,
+                                   int64_t K) {
+  int64_t& m = mcd_[x];
+  if (m < 0) {
+    m = 0;
+    for (const NodeId y : adj[x]) m += core_[y] >= K ? 1 : 0;
+    touched_.push_back(x);
+  }
+  return m;
+}
+
+void IncrementalCoreIndex::OnDelete(const SortedAdjacency& adj, NodeId u,
+                                    NodeId v) {
+  if (Precedes(v, u)) std::swap(u, v);
+  --deg_plus_[u];  // v no longer follows u
+  const int64_t K = core_[u];
+  // Cascade: a K-node whose neighbours with core >= K (mcd) fall below K
+  // drops to K-1. mcd is counted on first reach, after the drops already
+  // applied, and decremented for each later one.
+  for (const NodeId x : {u, v}) {
+    if (core_[x] == K && Mcd(adj, x, K) < K) {
+      state_[x] = kQueued;
+      cand_.push_back(x);
     }
-    cd[w] = c;
   }
-  std::deque<NodeId> peel;
-  std::unordered_set<NodeId> dropped;
-  for (const auto& [w, c] : cd) {
-    if (c < K) peel.push_back(w);
-  }
-  while (!peel.empty()) {
-    const NodeId w = peel.front();
-    peel.pop_front();
-    if (!dropped.insert(w).second) continue;
+  for (size_t i = 0; i < cand_.size(); ++i) {
+    const NodeId w = cand_[i];
     core_[w] = K - 1;
-    for (const NodeId x : adj_[w]) {
-      const auto it = cd.find(x);
-      if (it == cd.end() || dropped.count(x) > 0) continue;
-      if (--it->second == K - 1) peel.push_back(x);
+    // w goes to the tail of O_{K-1}: behind it is everything still >= K,
+    // including the drops queued after it.
+    deg_plus_[w] = mcd_[w];
+    for (const NodeId y : adj[w]) {
+      if (core_[y] != K) continue;
+      if (label_[y] < label_[w]) --deg_plus_[y];  // w leaves from behind y
+      int64_t& m = mcd_[y];
+      if (m < 0) {
+        Mcd(adj, y, K);  // counted without w
+      } else {
+        --m;
+      }
+      if (m < K && state_[y] == kIdle) {
+        state_[y] = kQueued;
+        cand_.push_back(y);
+      }
     }
   }
+  for (const NodeId w : cand_) {
+    Unlink(K, w);
+    state_[w] = kIdle;
+  }
+  if (!cand_.empty()) LinkRun(K - 1, tail_[K - 1], cand_.data(), cand_.size());
+  for (const NodeId x : touched_) mcd_[x] = -1;
+  touched_.clear();
+  cand_.clear();
+}
+
+Status IncrementalCoreIndex::CheckOrder(const SortedAdjacency& adj) const {
+  const int64_t n = static_cast<int64_t>(core_.size());
+  const auto fail = [](const std::string& what, NodeId w) {
+    return InternalError("k-order: " + what + " at node " + std::to_string(w));
+  };
+  if (static_cast<int64_t>(adj.size()) != n) {
+    return InternalError("k-order: adjacency has the wrong node count");
+  }
+  int64_t listed = 0;
+  for (size_t k = 0; k < head_.size(); ++k) {
+    NodeId prev = kNone;
+    for (NodeId w = head_[k]; w != kNone; prev = w, w = next_[w]) {
+      if (++listed > n) return InternalError("k-order: a level list cycles");
+      if (core_[w] != static_cast<int64_t>(k)) {
+        return fail("node listed in level " + std::to_string(k), w);
+      }
+      if (prev_[w] != prev) return fail("broken prev link", w);
+      if (prev != kNone && label_[prev] >= label_[w]) {
+        return fail("labels not increasing", w);
+      }
+    }
+    if (tail_[k] != prev) return fail("wrong tail of level", prev);
+  }
+  if (listed != n) return InternalError("k-order: a node is in no list");
+  for (NodeId w = 0; w < n; ++w) {
+    int64_t later = 0;
+    for (const NodeId y : adj[w]) later += Precedes(w, y) ? 1 : 0;
+    if (deg_plus_[w] != later) return fail("deg+ != later neighbours", w);
+    if (later > core_[w]) return fail("deg+ > core", w);
+    if (deg_star_[w] != 0 || mcd_[w] != -1 || state_[w] != kIdle) {
+      return fail("per-edit scratch left dirty", w);
+    }
+  }
+  return Status::Ok();
 }
 
 // --- IncrementalTrussIndex --------------------------------------------------
@@ -171,32 +335,45 @@ std::pair<NodeId, NodeId> IncrementalTrussIndex::KeyEdge(uint64_t key) {
 }
 
 IncrementalTrussIndex::IncrementalTrussIndex(const Graph& base)
-    : adj_(MirrorAdjacency(base)) {
+    : truss_(static_cast<size_t>(base.num_nodes())) {
+  // The decomposition is per CSR slot, and adjacency rows start as the CSR
+  // rows: copy row by row.
   const std::vector<int32_t>& truss = base.Trusses().truss;
   const auto row_ptr = base.row_ptr();
-  const auto col_idx = base.col_idx();
-  truss_.reserve(static_cast<size_t>(base.num_edges()));
   for (NodeId u = 0; u < base.num_nodes(); ++u) {
-    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-      if (col_idx[p] > u) truss_.emplace(EdgeKey(u, col_idx[p]), truss[p]);
-    }
+    truss_[u].assign(truss.begin() + row_ptr[u],
+                     truss.begin() + row_ptr[u + 1]);
   }
 }
 
-int64_t IncrementalTrussIndex::TrussOf(NodeId u, NodeId v) const {
-  const auto it = truss_.find(EdgeKey(u, v));
-  return it == truss_.end() ? 0 : it->second;
+int64_t IncrementalTrussIndex::SlotOf(const SortedAdjacency& adj, NodeId u,
+                                      NodeId v) {
+  const auto it = std::lower_bound(adj[u].begin(), adj[u].end(), v);
+  return it != adj[u].end() && *it == v ? it - adj[u].begin() : -1;
 }
 
-int64_t IncrementalTrussIndex::SupportedLevel(NodeId a, NodeId b,
+int64_t IncrementalTrussIndex::TrussOf(const SortedAdjacency& adj, NodeId u,
+                                       NodeId v) const {
+  const int64_t slot = SlotOf(adj, u, v);
+  return slot < 0 ? 0 : truss_[u][slot];
+}
+
+void IncrementalTrussIndex::Set(const SortedAdjacency& adj, NodeId u, NodeId v,
+                                int64_t k) {
+  truss_[u][SlotOf(adj, u, v)] = static_cast<int32_t>(k);
+  truss_[v][SlotOf(adj, v, u)] = static_cast<int32_t>(k);
+}
+
+int64_t IncrementalTrussIndex::SupportedLevel(const SortedAdjacency& adj,
+                                              NodeId a, NodeId b,
                                               int64_t cap) const {
   // Triangle levels through (a, b): each triangle supports the edge up to
   // the weaker of its two other edges. Sorted descending, the top i+1
   // triangles prove level min(levels[i], i+3) -- a level k needs k-2 of
   // them, so k <= i+3, and each must carry >= k.
   std::vector<int64_t> levels;
-  for (const NodeId c : CommonNeighbors(adj_[a], adj_[b])) {
-    levels.push_back(std::min(TrussOf(a, c), TrussOf(b, c)));
+  for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
+    levels.push_back(std::min(TrussOf(adj, a, c), TrussOf(adj, b, c)));
   }
   std::sort(levels.begin(), levels.end(), std::greater<int64_t>());
   int64_t best = 2;
@@ -209,7 +386,7 @@ int64_t IncrementalTrussIndex::SupportedLevel(NodeId a, NodeId b,
 }
 
 void IncrementalTrussIndex::DownwardFixpoint(
-    std::deque<std::pair<NodeId, NodeId>>* work,
+    const SortedAdjacency& adj, std::deque<std::pair<NodeId, NodeId>>* work,
     const std::unordered_map<uint64_t, int64_t>* floor) {
   // Chaotic iteration from an upper bound: re-prove each queued edge's
   // level; on a drop, requeue the partner edges that counted it. Values
@@ -219,26 +396,23 @@ void IncrementalTrussIndex::DownwardFixpoint(
   while (!work->empty()) {
     const auto [a, b] = work->front();
     work->pop_front();
-    const auto it = truss_.find(EdgeKey(a, b));
-    if (it == truss_.end()) continue;  // edge no longer present
-    const int64_t k = it->second;
-    if (k <= 2) continue;
-    int64_t knew = SupportedLevel(a, b, k);
+    const int64_t k = TrussOf(adj, a, b);
+    if (k <= 2) continue;  // floor of every edge, or no longer present
+    int64_t knew = SupportedLevel(adj, a, b, k);
     if (floor != nullptr) {
       const auto f = floor->find(EdgeKey(a, b));
       if (f != floor->end()) knew = std::max(knew, f->second);
     }
     if (knew >= k) continue;
-    it->second = knew;
-    for (const NodeId c : CommonNeighbors(adj_[a], adj_[b])) {
+    Set(adj, a, b, knew);
+    for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
       const std::pair<NodeId, NodeId> partners[2] = {{a, c}, {b, c}};
       for (const auto& [x, y] : partners) {
-        const auto pt = truss_.find(EdgeKey(x, y));
-        if (pt == truss_.end()) continue;
         // The partner counted this triangle iff its own level fits under
         // both other edges; it loses support exactly when its level lies
         // in (knew, k].
-        if (pt->second <= knew || pt->second > k) continue;
+        const int64_t t = TrussOf(adj, x, y);
+        if (t <= knew || t > k) continue;
         // Insertion mode repairs only the inflated candidates; everything
         // else is already consistent.
         if (floor != nullptr && floor->count(EdgeKey(x, y)) == 0) continue;
@@ -248,30 +422,35 @@ void IncrementalTrussIndex::DownwardFixpoint(
   }
 }
 
-void IncrementalTrussIndex::OnDelete(NodeId u, NodeId v) {
-  // Corners of the triangles that vanish with (u, v), taken before the
-  // adjacency loses the edge.
-  const std::vector<NodeId> common = CommonNeighbors(adj_[u], adj_[v]);
-  EraseSorted(&adj_[u], v);
-  EraseSorted(&adj_[v], u);
-  truss_.erase(EdgeKey(u, v));
+void IncrementalTrussIndex::OnDelete(const SortedAdjacency& adj, NodeId u,
+                                     NodeId v) {
+  // The rows lose the slot the edge held, where lower_bound now points.
+  for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    truss_[a].erase(truss_[a].begin() +
+                    (std::lower_bound(adj[a].begin(), adj[a].end(), b) -
+                     adj[a].begin()));
+  }
   // Every partner edge of a vanished triangle may have lost support; the
   // old values are still a valid upper bound (deletion never raises a
   // truss number), so the downward fixpoint repairs from them.
   std::deque<std::pair<NodeId, NodeId>> work;
-  for (const NodeId w : common) {
+  for (const NodeId w : CommonNeighbors(adj[u], adj[v])) {
     work.emplace_back(u, w);
     work.emplace_back(v, w);
   }
-  DownwardFixpoint(&work, nullptr);
+  DownwardFixpoint(adj, &work, nullptr);
 }
 
-void IncrementalTrussIndex::OnInsert(NodeId u, NodeId v) {
-  InsertSorted(&adj_[u], v);
-  InsertSorted(&adj_[v], u);
-  const std::vector<NodeId> common = CommonNeighbors(adj_[u], adj_[v]);
+void IncrementalTrussIndex::OnInsert(const SortedAdjacency& adj, NodeId u,
+                                     NodeId v) {
+  // The rows gain a slot where the adjacency gained the edge. It reads 0,
+  // like an absent edge, until the repair below sets it.
+  for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    truss_[a].insert(truss_[a].begin() + SlotOf(adj, a, b), 0);
+  }
+  const std::vector<NodeId> common = CommonNeighbors(adj[u], adj[v]);
   if (common.empty()) {
-    truss_[EdgeKey(u, v)] = 2;  // no triangle, nothing else can move
+    Set(adj, u, v, 2);  // no triangle, nothing else can move
     return;
   }
   // Ceiling for the new edge: existing partner levels may themselves rise
@@ -279,7 +458,7 @@ void IncrementalTrussIndex::OnInsert(NodeId u, NodeId v) {
   std::vector<int64_t> lv;
   lv.reserve(common.size());
   for (const NodeId w : common) {
-    lv.push_back(std::min(TrussOf(u, w), TrussOf(v, w)) + 1);
+    lv.push_back(std::min(TrussOf(adj, u, w), TrussOf(adj, v, w)) + 1);
   }
   std::sort(lv.begin(), lv.end(), std::greater<int64_t>());
   int64_t kub = 2;
@@ -294,11 +473,9 @@ void IncrementalTrussIndex::OnInsert(NodeId u, NodeId v) {
   std::unordered_map<uint64_t, int64_t> floor;
   std::deque<std::pair<NodeId, NodeId>> bfs;
   const auto consider = [&](NodeId a, NodeId b) {
-    const auto it = truss_.find(EdgeKey(a, b));
-    if (it == truss_.end() || it->second >= kub) return;
-    if (floor.emplace(EdgeKey(a, b), it->second).second) {
-      bfs.emplace_back(a, b);
-    }
+    const int64_t t = TrussOf(adj, a, b);
+    if (t >= kub) return;
+    if (floor.emplace(EdgeKey(a, b), t).second) bfs.emplace_back(a, b);
   };
   for (const NodeId w : common) {
     consider(u, w);
@@ -307,10 +484,10 @@ void IncrementalTrussIndex::OnInsert(NodeId u, NodeId v) {
   while (!bfs.empty()) {
     const auto [a, b] = bfs.front();
     bfs.pop_front();
-    const int64_t k = truss_.find(EdgeKey(a, b))->second;
-    for (const NodeId c : CommonNeighbors(adj_[a], adj_[b])) {
-      const int64_t t1 = TrussOf(a, c);
-      const int64_t t2 = TrussOf(b, c);
+    const int64_t k = TrussOf(adj, a, b);
+    for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
+      const int64_t t1 = TrussOf(adj, a, c);
+      const int64_t t2 = TrussOf(adj, b, c);
       if (std::min(t1, t2) < k) continue;  // triangle too weak at level k
       if (t1 == k) consider(a, c);
       if (t2 == k) consider(b, c);
@@ -319,14 +496,15 @@ void IncrementalTrussIndex::OnInsert(NodeId u, NodeId v) {
   // Optimistic lift: candidates up one, the new edge to its ceiling; then
   // the floored downward fixpoint settles everything that over-reached.
   std::deque<std::pair<NodeId, NodeId>> work;
-  for (auto& [key, old] : floor) {
-    truss_[key] = old + 1;
-    work.push_back(KeyEdge(key));
+  for (const auto& [key, old] : floor) {
+    const auto [a, b] = KeyEdge(key);
+    Set(adj, a, b, old + 1);
+    work.emplace_back(a, b);
   }
-  truss_[EdgeKey(u, v)] = kub;
+  Set(adj, u, v, kub);
   floor.emplace(EdgeKey(u, v), 2);
   work.emplace_back(u, v);
-  DownwardFixpoint(&work, &floor);
+  DownwardFixpoint(adj, &work, &floor);
 }
 
 // --- DynamicCommunityIndex --------------------------------------------------
@@ -349,32 +527,60 @@ StatusOr<std::shared_ptr<DynamicCommunityIndex>> DynamicCommunityIndex::Create(
 
 DynamicCommunityIndex::DynamicCommunityIndex(std::shared_ptr<const Graph> base)
     : delta_(std::make_unique<GraphDelta>(std::move(base))),
+      adj_(MirrorAdjacency(delta_->base())),
       core_(delta_->base()),
-      truss_(delta_->base()) {}
+      truss_(delta_->base()),
+      core_repair_ms_(&obs::MetricsRegistry::Default().GetHistogram(
+          "cgnp_dynamic_repair_ms", {{"index", "core"}})),
+      truss_repair_ms_(&obs::MetricsRegistry::Default().GetHistogram(
+          "cgnp_dynamic_repair_ms", {{"index", "truss"}})) {}
 
 Status DynamicCommunityIndex::InsertEdge(NodeId u, NodeId v) {
-  std::unique_lock lock(mu_);
-  const uint64_t before = delta_->version();
-  CGNP_RETURN_IF_ERROR(delta_->InsertEdge(u, v));
-  // Idempotent re-insert: the delta accepted it as a no-op (version
-  // unchanged), so the indices must not see it either.
-  if (delta_->version() == before) return Status::Ok();
-  core_.OnInsert(u, v);
-  truss_.OnInsert(u, v);
-  return Status::Ok();
+  return Apply(GraphEdit{/*insert=*/true, u, v});
 }
 
 Status DynamicCommunityIndex::DeleteEdge(NodeId u, NodeId v) {
-  std::unique_lock lock(mu_);
-  CGNP_RETURN_IF_ERROR(delta_->DeleteEdge(u, v));
-  core_.OnDelete(u, v);
-  truss_.OnDelete(u, v);
-  return Status::Ok();
+  return Apply(GraphEdit{/*insert=*/false, u, v});
 }
 
-Status DynamicCommunityIndex::Apply(const GraphEdit& edit) {
-  return edit.insert ? InsertEdge(edit.u, edit.v)
-                     : DeleteEdge(edit.u, edit.v);
+Status DynamicCommunityIndex::Apply(const GraphEdit& edit, bool* applied) {
+  if (applied != nullptr) *applied = false;
+  const NodeId u = edit.u;
+  const NodeId v = edit.v;
+  std::unique_lock lock(mu_);
+  const uint64_t before = delta_->version();
+  CGNP_RETURN_IF_ERROR(edit.insert ? delta_->InsertEdge(u, v)
+                                   : delta_->DeleteEdge(u, v));
+  // Idempotent re-insert: the delta accepted it as a no-op (version
+  // unchanged), so the adjacency and indices must not see it either.
+  if (delta_->version() == before) return Status::Ok();
+  if (applied != nullptr) *applied = true;
+  if (edit.insert) {
+    InsertSorted(&adj_[u], v);
+    InsertSorted(&adj_[v], u);
+  } else {
+    EraseSorted(&adj_[u], v);
+    EraseSorted(&adj_[v], u);
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
+  if (edit.insert) {
+    core_.OnInsert(adj_, u, v);
+  } else {
+    core_.OnDelete(adj_, u, v);
+  }
+  const auto t1 = Clock::now();
+  if (edit.insert) {
+    truss_.OnInsert(adj_, u, v);
+  } else {
+    truss_.OnDelete(adj_, u, v);
+  }
+  const auto t2 = Clock::now();
+  core_repair_ms_->Record(
+      std::chrono::duration<double, std::milli>(t1 - t0).count());
+  truss_repair_ms_->Record(
+      std::chrono::duration<double, std::milli>(t2 - t1).count());
+  return Status::Ok();
 }
 
 Status DynamicCommunityIndex::ValidateQuery(NodeId q) const {
@@ -389,7 +595,7 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KCoreCommunity(
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
   const std::vector<int64_t>& core = core_.core();
-  const auto& adj = core_.adjacency();
+  const SortedAdjacency& adj = adj_;
   // Same contract as the batch KCoreCommunity: k = -1 means the maximal
   // feasible k for q (its core number), k = 0 is trivially {q}.
   if (k < 0) k = core[q];
@@ -423,15 +629,13 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
     NodeId q, int64_t k) const {
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
-  const auto& adj = core_.adjacency();
+  const SortedAdjacency& adj = adj_;
   if (k < 0) {
     // Max feasible k for q: the strongest truss among q's incident edges
     // (2 when q has edges but no triangles, 1 when isolated) -- the
     // MaxTrussOf contract.
     int64_t best = adj[q].empty() ? 1 : 2;
-    for (const NodeId x : adj[q]) {
-      best = std::max(best, truss_.TrussOf(q, x));
-    }
+    for (const int32_t t : truss_.row(q)) best = std::max<int64_t>(best, t);
     k = best;
   }
   if (k <= 2 && adj[q].empty()) return std::vector<NodeId>{q};
@@ -449,8 +653,10 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
     const NodeId w = queue.front();
     queue.pop_front();
     out.push_back(w);
-    for (const NodeId x : adj[w]) {
-      if (truss_.TrussOf(w, x) < k) continue;
+    const std::vector<int32_t>& truss = truss_.row(w);
+    for (size_t i = 0; i < adj[w].size(); ++i) {
+      if (truss[i] < k) continue;
+      const NodeId x = adj[w][i];
       if (w == q) q_has_edge = true;
       if (!seen[x]) {
         seen[x] = 1;
@@ -469,7 +675,12 @@ std::vector<int64_t> DynamicCommunityIndex::CurrentCoreNumbers() const {
 
 int64_t DynamicCommunityIndex::CurrentTrussOf(NodeId u, NodeId v) const {
   std::shared_lock lock(mu_);
-  return truss_.TrussOf(u, v);
+  return truss_.TrussOf(adj_, u, v);
+}
+
+Status DynamicCommunityIndex::CheckCoreOrder() const {
+  std::shared_lock lock(mu_);
+  return core_.CheckOrder(adj_);
 }
 
 uint64_t DynamicCommunityIndex::version() const {

@@ -1,15 +1,23 @@
 // Incremental community-search maintenance over a versioned delta overlay
 // (graph/delta.h): k-core and k-truss numbers kept current under edge
-// insertions and deletions by local repair of the affected region, instead
-// of from-scratch recomputation per edit.
+// insertions and deletions by local repair, instead of from-scratch
+// recomputation per edit.
 //
 // The algorithms are the classical maintenance results:
-//   * k-core: the "traversal" / subcore algorithm. An edge edit changes
-//     any core number by at most one, and the change is confined to the
-//     K-class (K = min core of the endpoints) nodes reachable from the
-//     endpoints through K-class nodes. Insertion seeds that region, counts
-//     per-node support toward K+1 and peels; survivors rise. Deletion
-//     seeds the same region, counts support toward K and cascades drops.
+//   * k-core: order-based maintenance (Zhang, Yu, Zhang and Qin, "A Fast
+//     Order-Based Approach for Core Maintenance", ICDE 2017). The index
+//     keeps a k-order -- a removal order of the Batagelj-Zaversnik peel,
+//     one list O_K per core level -- and deg+(v), the neighbours of v
+//     later in it; an order is valid iff deg+(v) <= core(v) everywhere.
+//     An edit changes a core number by at most one, only at level
+//     K = min core of the endpoints. Insertion bumps deg+ of the earlier
+//     endpoint; when that breaks the bound it scans O_K forward from it
+//     through a label-keyed heap, visiting only nodes that gained a
+//     candidate neighbour, and the surviving candidates move to the head
+//     of O_{K+1}. Deletion cascades on mcd (neighbours with core >= K),
+//     counted only for nodes the cascade reaches; dropped nodes are
+//     appended to O_{K-1}. The cost follows the nodes whose order position
+//     changes, not the size of the K-class.
 //   * k-truss: greatest-fixpoint repair. Truss numbers are the greatest
 //     assignment T with every edge f = (a, b) supported by >= T(f)-2
 //     triangles whose other two edges carry >= T(f). Deletion starts from
@@ -21,16 +29,18 @@
 //     downward fixpoint (floored at the pre-insert values) settles them.
 //
 // Both indices are asserted node-for-node / edge-for-edge identical to
-// the batch algorithms (graph/algorithms.h) after every update of a
-// randomized sequence in tests/incremental_cs_test.cc -- the acceptance
-// contract of this file.
+// the batch algorithms (graph/algorithms.h) over randomized edit
+// sequences in tests/incremental_cs_test.cc -- core numbers and the
+// k-order invariants after every edit -- the acceptance contract of this
+// file.
 //
-// DynamicCommunityIndex bundles a GraphDelta with both indices behind one
-// internally-locked facade (queries take a shared lock, edits an
-// exclusive one) and answers the same community questions as the batch
-// KCoreCommunity / KTrussCommunity -- including output order -- at the
-// delta's current version. It reaches the registry as the "kcore_inc" /
-// "ktruss_inc" backends via SearcherConfig::dynamic_index.
+// DynamicCommunityIndex bundles a GraphDelta, the one sorted adjacency
+// both indices read, and both indices behind one internally-locked facade
+// (queries take a shared lock, edits an exclusive one). It answers the
+// same community questions as the batch KCoreCommunity / KTrussCommunity
+// -- including output order -- at the delta's current version, and
+// reaches the registry as the "kcore_inc" / "ktruss_inc" backends via
+// SearcherConfig::dynamic_index.
 #ifndef CGNP_CS_DYNAMIC_H_
 #define CGNP_CS_DYNAMIC_H_
 
@@ -46,84 +56,130 @@
 #include "cs/searcher.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 
 namespace cgnp {
 
-// Core numbers under maintenance, seeded from the base graph's cached
-// decomposition (Graph::Cores). Owns a sorted adjacency mirror of that
-// graph; OnInsert/OnDelete must be called exactly once
-// per edge actually applied (after the delta accepted it), with endpoints
-// already validated -- the DynamicCommunityIndex facade guarantees both.
-// Not thread-safe on its own.
+// Current adjacency, one sorted row per node: the edge set at the delta's
+// version, in the CSR order of a compacted snapshot.
+using SortedAdjacency = std::vector<std::vector<NodeId>>;
+
+// Core numbers under maintenance, seeded from a peel of the base graph.
+// OnInsert/OnDelete must be called exactly once per edge actually applied,
+// with `adj` already holding (insert) or already lacking (delete) the
+// edge and endpoints validated -- the DynamicCommunityIndex facade
+// guarantees all three. Warm edits allocate nothing. Not thread-safe on
+// its own.
 class IncrementalCoreIndex {
  public:
   explicit IncrementalCoreIndex(const Graph& base);
 
-  void OnInsert(NodeId u, NodeId v);
-  void OnDelete(NodeId u, NodeId v);
+  void OnInsert(const SortedAdjacency& adj, NodeId u, NodeId v);
+  void OnDelete(const SortedAdjacency& adj, NodeId u, NodeId v);
 
   const std::vector<int64_t>& core() const { return core_; }
-  // Sorted, current adjacency -- shared with the community BFS so query
-  // traversal order matches the CSR order of a compacted snapshot.
-  const std::vector<std::vector<NodeId>>& adjacency() const { return adj_; }
+
+  // Checks the k-order against `adj`: every level list is well formed and
+  // holds exactly the nodes of that core number, labels strictly increase
+  // along it, deg+ equals the count of later neighbours and is <= core,
+  // and the per-edit scratch is clean. Internal error naming the first
+  // violation otherwise. O(n + m), for tests.
+  Status CheckOrder(const SortedAdjacency& adj) const;
 
  private:
-  std::vector<std::vector<NodeId>> adj_;
+  // Per-node state of the insertion scan (state_); a deletion marks its
+  // queued drops kQueued.
+  enum : uint8_t { kIdle, kQueued, kCandidate, kEvicting, kSettled };
+
+  bool Precedes(NodeId a, NodeId b) const;
+  void Unlink(int64_t k, NodeId w);  // from level k's list
+  // Links run[0..m) in order into level k right after `after` (-1 = at
+  // the head) and labels it inside the gap, relabelling the level when
+  // the gap is too small.
+  void LinkRun(int64_t k, NodeId after, const NodeId* run, size_t m);
+  void Relabel(int64_t k);
+  // Evicts the candidates queued in evict_ to just behind `anchor`.
+  void Evict(const SortedAdjacency& adj, int64_t K, NodeId anchor);
+  // Neighbours of x with core >= K, counted on first use within an edit.
+  int64_t& Mcd(const SortedAdjacency& adj, NodeId x, int64_t K);
+
+  // The k-order: per node its core, deg+, label and list links; per level
+  // its list ends (-1 when empty).
   std::vector<int64_t> core_;
+  std::vector<int64_t> deg_plus_;
+  std::vector<uint64_t> label_;
+  std::vector<NodeId> prev_, next_;
+  std::vector<NodeId> head_, tail_;
+
+  // Per-edit scratch, sized once and left clean after every edit.
+  std::vector<int64_t> deg_star_;  // insertion: candidate neighbours before v
+  std::vector<int64_t> mcd_;       // deletion: -1 = not counted this edit
+  std::vector<uint8_t> state_;
+  std::vector<NodeId> heap_, cand_, evict_, evicted_, anchors_, touched_;
 };
 
-// Truss numbers under maintenance, keyed per undirected edge and seeded
-// from the base graph's cached decomposition (Graph::Trusses). Same call
-// contract as IncrementalCoreIndex. Node ids must fit in 32 bits (edge
-// keys pack both endpoints into one uint64); DynamicCommunityIndex::Create
-// rejects larger graphs up front.
+// Truss numbers under maintenance, one per adjacency slot (both directions
+// of an edge carry the same value), seeded from the base graph's cached
+// decomposition (Graph::Trusses). Same call contract as
+// IncrementalCoreIndex. Node ids must fit in 32 bits (the insertion repair
+// keys edges by packing both endpoints into one uint64);
+// DynamicCommunityIndex::Create rejects larger graphs up front.
 class IncrementalTrussIndex {
  public:
   explicit IncrementalTrussIndex(const Graph& base);
 
-  void OnInsert(NodeId u, NodeId v);
-  void OnDelete(NodeId u, NodeId v);
+  void OnInsert(const SortedAdjacency& adj, NodeId u, NodeId v);
+  void OnDelete(const SortedAdjacency& adj, NodeId u, NodeId v);
 
   // Truss number of edge (u, v); 0 when the edge is not present.
-  int64_t TrussOf(NodeId u, NodeId v) const;
+  int64_t TrussOf(const SortedAdjacency& adj, NodeId u, NodeId v) const;
+  // Truss numbers of u's edges, parallel to adj[u].
+  const std::vector<int32_t>& row(NodeId u) const { return truss_[u]; }
 
  private:
   static uint64_t EdgeKey(NodeId u, NodeId v);
   static std::pair<NodeId, NodeId> KeyEdge(uint64_t key);
+  // Position of v in adj[u]; -1 when absent.
+  static int64_t SlotOf(const SortedAdjacency& adj, NodeId u, NodeId v);
+  // Writes k into both slots of the present edge (u, v).
+  void Set(const SortedAdjacency& adj, NodeId u, NodeId v, int64_t k);
 
   // Largest k in [2, cap] with >= k-2 triangles through (a, b) whose
   // other two edges both carry truss >= k under the current values.
-  int64_t SupportedLevel(NodeId a, NodeId b, int64_t cap) const;
+  int64_t SupportedLevel(const SortedAdjacency& adj, NodeId a, NodeId b,
+                         int64_t cap) const;
   // Chaotic downward re-proving until consistent. With `floor` non-null
   // (insertion mode) only edges present in the floor map are processed or
   // enqueued, and no edge settles below its floor.
-  void DownwardFixpoint(std::deque<std::pair<NodeId, NodeId>>* work,
+  void DownwardFixpoint(const SortedAdjacency& adj,
+                        std::deque<std::pair<NodeId, NodeId>>* work,
                         const std::unordered_map<uint64_t, int64_t>* floor);
 
-  std::vector<std::vector<NodeId>> adj_;
-  std::unordered_map<uint64_t, int64_t> truss_;
+  std::vector<std::vector<int32_t>> truss_;  // rows parallel to adj
 };
 
-// Delta + both incremental indices behind one internally-locked facade:
-// edits lock exclusively, queries share. Community answers are identical
-// -- members and order -- to the batch KCoreCommunity / KTrussCommunity
-// run on a compacted snapshot of the same version.
+// Delta + adjacency + both incremental indices behind one internally-locked
+// facade: edits lock exclusively, queries share. Community answers are
+// identical -- members and order -- to the batch KCoreCommunity /
+// KTrussCommunity run on a compacted snapshot of the same version.
 class DynamicCommunityIndex {
  public:
   // `base` must be non-null with node ids fitting 32 bits (edge-key
-  // packing); InvalidArgument otherwise. Both indices start from base's
-  // cached decomposition (graph/decomposition.h), built here if no query
-  // has built it yet -- O(m^1.5) for the truss part; per-edit repair is
-  // the point of everything after.
+  // packing); InvalidArgument otherwise. The core index starts from an
+  // O(m) peel of base, the truss index from base's cached decomposition
+  // (graph/decomposition.h), built here if no query has built it yet --
+  // O(m^1.5); per-edit repair is the point of everything after.
   static StatusOr<std::shared_ptr<DynamicCommunityIndex>> Create(
       std::shared_ptr<const Graph> base);
 
   // Edit entry points, forwarding the GraphDelta mutation contract
   // (OutOfRange / InvalidArgument / NotFound; idempotent insert is a
-  // no-op that leaves the indices untouched).
+  // no-op that leaves the indices untouched). With `applied` non-null,
+  // Apply reports under its own writer lock whether the edit changed the
+  // graph -- false for a rejected edit or an idempotent insert.
   Status InsertEdge(NodeId u, NodeId v);
   Status DeleteEdge(NodeId u, NodeId v);
-  Status Apply(const GraphEdit& edit);
+  Status Apply(const GraphEdit& edit, bool* applied = nullptr);
 
   // Community queries at the current version, matching the batch
   // algorithms' semantics exactly: k = -1 picks the maximal feasible k
@@ -137,6 +193,8 @@ class DynamicCommunityIndex {
   // shared lock.
   std::vector<int64_t> CurrentCoreNumbers() const;
   int64_t CurrentTrussOf(NodeId u, NodeId v) const;  // 0 when absent
+  // IncrementalCoreIndex::CheckOrder on the current adjacency.
+  Status CheckCoreOrder() const;
 
   uint64_t version() const;
   int64_t delta_depth() const;
@@ -157,8 +215,13 @@ class DynamicCommunityIndex {
 
   mutable std::shared_mutex mu_;
   std::unique_ptr<GraphDelta> delta_;
+  SortedAdjacency adj_;  // the delta's current edge set, updated once per edit
   IncrementalCoreIndex core_;
   IncrementalTrussIndex truss_;
+  // cgnp_dynamic_repair_ms{index="core"|"truss"}: repair time per applied
+  // edit.
+  obs::Histogram* const core_repair_ms_;
+  obs::Histogram* const truss_repair_ms_;
 };
 
 // Factories behind the "kcore_inc" / "ktruss_inc" registry names

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "common/check.h"
 
 namespace cgnp {
 
-std::vector<int64_t> CoreNumbers(const Graph& g) {
+CorePeel PeelCores(const Graph& g) {
   const int64_t n = g.num_nodes();
   std::vector<int64_t> deg(n);
   int64_t max_deg = 0;
@@ -24,7 +25,8 @@ std::vector<int64_t> CoreNumbers(const Graph& g) {
     bin[d] = start;
     start += count;
   }
-  std::vector<int64_t> pos(n), vert(n);
+  std::vector<int64_t> pos(n);
+  std::vector<NodeId> vert(n);
   for (NodeId v = 0; v < n; ++v) {
     pos[v] = bin[deg[v]]++;
     vert[pos[v]] = v;
@@ -52,8 +54,12 @@ std::vector<int64_t> CoreNumbers(const Graph& g) {
       }
     }
   }
-  return core;
+  // vert[i] is the node peeled at step i: swaps only ever touch unpeeled
+  // slots, so the array ends as the removal order.
+  return CorePeel{std::move(core), std::move(vert)};
 }
+
+std::vector<int64_t> CoreNumbers(const Graph& g) { return PeelCores(g).core; }
 
 std::vector<int64_t> ConnectedComponents(const Graph& g) {
   const int64_t n = g.num_nodes();

@@ -16,6 +16,16 @@ namespace cgnp {
 // Core number of every node (bucket peeling, O(m)).
 std::vector<int64_t> CoreNumbers(const Graph& g);
 
+// The Batagelj-Zaversnik peel behind CoreNumbers, with the order it removed
+// the nodes in. Core numbers never decrease along `order`, and each node
+// has at most core[v] neighbours after it: a k-order, the starting point
+// of the order-based core maintenance in cs/dynamic.h.
+struct CorePeel {
+  std::vector<int64_t> core;
+  std::vector<NodeId> order;
+};
+CorePeel PeelCores(const Graph& g);
+
 // Connected-component label per node (labels are 0-based, by discovery).
 std::vector<int64_t> ConnectedComponents(const Graph& g);
 

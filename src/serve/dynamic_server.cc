@@ -41,24 +41,24 @@ StatusOr<std::unique_ptr<DynamicGraphServer>> DynamicGraphServer::Create(
 }
 
 Status DynamicGraphServer::ApplyUpdate(const GraphEdit& edit) {
-  const uint64_t before = index_->version();
-  const Status s = index_->Apply(edit);
+  // The index decides "applied" under its own writer lock: comparing
+  // version() around the call would count an idempotent insert whenever
+  // another client's edit lands in between.
+  bool applied = false;
+  const Status s = index_->Apply(edit, &applied);
+  bool compact_now = false;
   {
     std::unique_lock lock(mu_);
     if (!s.ok()) {
       ++updates_rejected_;
-    } else if (index_->version() != before) {
+    } else if (applied) {
       ++updates_applied_;
       ++edits_since_compact_;
     }
-  }
-  if (!s.ok()) return s;
-  bool compact_now = false;
-  {
-    std::shared_lock lock(mu_);
     compact_now = options_.compact_every > 0 &&
                   edits_since_compact_ >= options_.compact_every;
   }
+  if (!s.ok()) return s;
   if (compact_now) Compact();
   return Status::Ok();
 }

@@ -295,8 +295,8 @@ TEST(DynamicGraphServer, IncrementalBackendServesFreshWithoutCompaction) {
 }
 
 // TSan target: interleaved update / query / compaction traffic from many
-// threads. Correctness of answers is covered elsewhere; here every
-// response must be well-formed and the process race-free.
+// threads. Every response must be well-formed, the process race-free, and
+// the index must end where batch recomputation on the final graph puts it.
 TEST(DynamicGraphServer, ConcurrentUpdatesAndQueries) {
   const auto base = std::make_shared<const Graph>(TwoIslandGraph(11));
   DynamicGraphServer::Options opt;
@@ -344,6 +344,73 @@ TEST(DynamicGraphServer, ConcurrentUpdatesAndQueries) {
   const auto stats = server.dynamic_stats();
   EXPECT_GT(stats.updates_applied, 0u);
   EXPECT_EQ(server.server_stats().requests, 240u);
+
+  // The interleaving left the index where a from-scratch decomposition of
+  // the final graph puts it.
+  (void)server.Compact();
+  const std::shared_ptr<const Graph> snapshot = server.snapshot();
+  const std::shared_ptr<DynamicCommunityIndex>& index = server.index();
+  EXPECT_EQ(index->CurrentCoreNumbers(), CoreNumbers(*snapshot));
+  const EdgeList el = BuildEdgeList(*snapshot);
+  const std::vector<int64_t> truss = TrussNumbers(*snapshot, el);
+  for (size_t i = 0; i < el.edges.size(); ++i) {
+    const auto [u, v] = el.edges[i];
+    EXPECT_EQ(index->CurrentTrussOf(u, v), truss[i])
+        << "edge " << u << "-" << v;
+  }
+}
+
+// An idempotent re-insert must not count as an applied update, however
+// other clients' edits interleave with it: the index reports "applied"
+// under its own writer lock.
+TEST(DynamicGraphServer, NoOpInsertsAreNotCountedUnderConcurrentEdits) {
+  const auto base = std::make_shared<const Graph>(TwoIslandGraph(11));
+  DynamicGraphServer::Options opt;
+  opt.serve.backend = "kcore";
+  opt.serve.num_threads = 1;
+  opt.compact_every = 32;
+  auto server_or = DynamicGraphServer::Create(nullptr, base, opt);
+  ASSERT_TRUE(server_or.ok()) << server_or.status();
+  DynamicGraphServer& server = **server_or;
+
+  // The re-inserter owns the base edges of the first half of the nodes;
+  // the editor toggles absent pairs inside the second half.
+  const int64_t n = base->num_nodes();
+  std::vector<std::pair<NodeId, NodeId>> present;
+  std::vector<std::pair<NodeId, NodeId>> absent;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (v < n / 2 && base->HasEdge(u, v)) present.emplace_back(u, v);
+      if (u >= n / 2 && !base->HasEdge(u, v) && absent.size() < 50) {
+        absent.emplace_back(u, v);
+      }
+    }
+  }
+  ASSERT_FALSE(present.empty());
+  ASSERT_EQ(absent.size(), 50u);
+
+  std::atomic<int> noop_failures{0};
+  std::thread reinserter([&] {
+    for (int i = 0; i < 4000; ++i) {
+      const auto& [u, v] = present[static_cast<size_t>(i) % present.size()];
+      if (!server.InsertEdge(u, v).ok()) noop_failures.fetch_add(1);
+    }
+  });
+  uint64_t real_edits = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (const auto& [u, v] : absent) {
+      const Status s = round % 2 == 0 ? server.InsertEdge(u, v)
+                                      : server.DeleteEdge(u, v);
+      ASSERT_TRUE(s.ok()) << s;
+      ++real_edits;
+    }
+  }
+  reinserter.join();
+  EXPECT_EQ(noop_failures.load(), 0);
+  const auto stats = server.dynamic_stats();
+  EXPECT_EQ(stats.updates_applied, real_edits);
+  EXPECT_EQ(stats.updates_rejected, 0u);
+  EXPECT_EQ(stats.version, real_edits);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "cs/dynamic.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -8,9 +9,11 @@
 
 #include "cs/kcore_community.h"
 #include "cs/ktruss_community.h"
+#include "data/synthetic.h"
 #include "graph/algorithms.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "tensor/rng.h"
 #include "tests/test_util.h"
 
@@ -187,6 +190,197 @@ TEST(DynamicCommunityIndex, MatchesBatchAfterEveryRandomUpdate) {
   EXPECT_EQ(idx.delta_depth(), applied);
 }
 
+// Edge set of the graph under edit, mirrored outside the index: the
+// batch oracle runs on a from-scratch build of it.
+class EdgeModel {
+ public:
+  explicit EdgeModel(const Graph& g) : n_(g.num_nodes()) {
+    for (NodeId v = 0; v < n_; ++v) {
+      for (const NodeId u : g.Neighbors(v)) {
+        if (u > v) Insert(v, u);
+      }
+    }
+  }
+  bool Has(NodeId u, NodeId v) const {
+    return set_.count(Key(u, v)) > 0;
+  }
+  void Insert(NodeId u, NodeId v) {
+    set_.insert(Key(u, v));
+    edges_.push_back(Key(u, v));
+  }
+  // Removes edge i (any order) and returns it.
+  std::pair<NodeId, NodeId> RemoveAt(size_t i) {
+    const auto e = edges_[i];
+    edges_[i] = edges_.back();
+    edges_.pop_back();
+    set_.erase(e);
+    return e;
+  }
+  void Remove(NodeId u, NodeId v) {
+    RemoveAt(static_cast<size_t>(
+        std::find(edges_.begin(), edges_.end(), Key(u, v)) - edges_.begin()));
+  }
+  size_t size() const { return edges_.size(); }
+  Graph Build() const {
+    GraphBuilder b(n_);
+    for (const auto& [u, v] : set_) b.AddEdge(u, v);
+    return b.Build();
+  }
+
+ private:
+  static std::pair<NodeId, NodeId> Key(NodeId u, NodeId v) {
+    return {std::min(u, v), std::max(u, v)};
+  }
+  int64_t n_;
+  std::set<std::pair<NodeId, NodeId>> set_;
+  std::vector<std::pair<NodeId, NodeId>> edges_;
+};
+
+// After one edit: core numbers equal batch CoreNumbers and the k-order
+// invariants hold; every `truss_every` edits all truss numbers equal batch
+// TrussNumbers too.
+void ExpectCoresMatchBatch(const DynamicCommunityIndex& idx,
+                           const EdgeModel& model, int64_t edit,
+                           int64_t truss_every, const std::string& phase) {
+  const Graph g = model.Build();
+  const std::string context = phase + " edit " + std::to_string(edit);
+  ASSERT_EQ(idx.CurrentCoreNumbers(), CoreNumbers(g)) << context;
+  const Status order = idx.CheckCoreOrder();
+  ASSERT_TRUE(order.ok()) << context << ": " << order;
+  if (edit % truss_every != 0) return;
+  const EdgeList el = BuildEdgeList(g);
+  const std::vector<int64_t> truss = TrussNumbers(g, el);
+  for (size_t i = 0; i < el.edges.size(); ++i) {
+    const auto [u, v] = el.edges[i];
+    ASSERT_EQ(idx.CurrentTrussOf(u, v), truss[i])
+        << context << " edge " << u << "-" << v;
+  }
+}
+
+// Number of nodes per core number.
+std::vector<int64_t> CoreClassSizes(const std::vector<int64_t>& core) {
+  std::vector<int64_t> count(
+      static_cast<size_t>(*std::max_element(core.begin(), core.end()) + 1));
+  for (const int64_t c : core) ++count[static_cast<size_t>(c)];
+  return count;
+}
+
+// The differential for the order-based core repair: `edits` seeded mixed
+// edits (half deletions of a random present edge, half insertions of an
+// absent pair, mostly inside one community), then a clique planted on
+// `clique` nodes of the base's dominant core class and torn down again,
+// so core numbers rise and fall by several levels. Both indices are
+// compared with batch throughout.
+void RunDifferential(const Graph& base, uint64_t seed, int64_t edits,
+                     int64_t clique, int64_t truss_every) {
+  const auto idx_or =
+      DynamicCommunityIndex::Create(std::make_shared<const Graph>(base));
+  ASSERT_TRUE(idx_or.ok()) << idx_or.status();
+  DynamicCommunityIndex& idx = **idx_or;
+  ASSERT_TRUE(idx.CheckCoreOrder().ok()) << idx.CheckCoreOrder();
+  EdgeModel model(base);
+  const int64_t n = base.num_nodes();
+  // Community members of each node, for inserts that stay inside one.
+  std::vector<std::vector<NodeId>> community(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    if (community[v].empty()) {
+      const std::vector<NodeId> members =
+          base.CommunityMembers(base.CommunityOf(v));
+      for (const NodeId m : members) community[m] = members;
+    }
+  }
+  Rng rng(seed);
+  int64_t edit = 0;
+  while (edit < edits) {
+    if (rng.Bernoulli(0.5) && model.size() > 0) {
+      const auto [u, v] = model.RemoveAt(
+          static_cast<size_t>(rng.NextInt(static_cast<int64_t>(model.size()))));
+      ASSERT_TRUE(idx.DeleteEdge(u, v).ok());
+    } else {
+      const NodeId u = rng.NextInt(n);
+      NodeId v = rng.NextInt(n);
+      if (rng.Bernoulli(0.8)) {
+        const std::vector<NodeId>& members = community[u];
+        v = members[static_cast<size_t>(
+            rng.NextInt(static_cast<int64_t>(members.size())))];
+      }
+      if (u == v || model.Has(u, v)) continue;
+      model.Insert(u, v);
+      ASSERT_TRUE(idx.InsertEdge(u, v).ok());
+    }
+    ExpectCoresMatchBatch(idx, model, ++edit, truss_every, "mixed");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // Clique phase on nodes of the most common core number.
+  const std::vector<int64_t> core = idx.CurrentCoreNumbers();
+  const std::vector<int64_t> count = CoreClassSizes(core);
+  const int64_t dominant =
+      std::max_element(count.begin(), count.end()) - count.begin();
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < n; ++v) {
+    if (core[v] == dominant) members.push_back(v);
+  }
+  rng.Shuffle(&members);
+  members.resize(static_cast<size_t>(clique));
+  std::vector<std::pair<NodeId, NodeId>> planted;
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (size_t j = i + 1; j < members.size(); ++j) {
+      if (!model.Has(members[i], members[j])) {
+        planted.emplace_back(members[i], members[j]);
+      }
+    }
+  }
+  for (const auto& [u, v] : planted) {
+    model.Insert(u, v);
+    ASSERT_TRUE(idx.InsertEdge(u, v).ok());
+    ExpectCoresMatchBatch(idx, model, ++edit, truss_every, "clique insert");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const NodeId v : members) {
+    EXPECT_GE(idx.CurrentCoreNumbers()[v], clique - 1) << "clique node " << v;
+  }
+  rng.Shuffle(&planted);
+  for (const auto& [u, v] : planted) {
+    model.Remove(u, v);
+    ASSERT_TRUE(idx.DeleteEdge(u, v).ok());
+    ExpectCoresMatchBatch(idx, model, ++edit, truss_every, "clique delete");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(idx.delta_depth(), edit);
+}
+
+TEST(OrderBasedCoreRepair, PlantedPartitionWithOneDominantCoreClass) {
+  // Servebench-shaped: planted communities whose nodes mostly share one
+  // core number, so the K-class spans most of the graph.
+  SyntheticConfig cfg;
+  cfg.num_nodes = 1000;
+  cfg.num_communities = 8;
+  cfg.intra_degree = 10;
+  cfg.inter_degree = 1.5;
+  Rng rng(41);
+  const Graph base = GenerateSyntheticGraph(cfg, &rng);
+  const std::vector<int64_t> count = CoreClassSizes(CoreNumbers(base));
+  ASSERT_GT(*std::max_element(count.begin(), count.end()), 800)
+      << "expected one dominant core class";
+  RunDifferential(base, /*seed=*/7, /*edits=*/10000, /*clique=*/16,
+                  /*truss_every=*/100);
+}
+
+TEST(OrderBasedCoreRepair, SkewedDegreeGraph) {
+  // Pareto-scaled degrees: hubs next to leaves, many core levels.
+  SyntheticConfig cfg;
+  cfg.num_nodes = 600;
+  cfg.num_communities = 5;
+  cfg.intra_degree = 8;
+  cfg.inter_degree = 2;
+  cfg.power_law_degrees = true;
+  Rng rng(43);
+  const Graph base = GenerateSyntheticGraph(cfg, &rng);
+  RunDifferential(base, /*seed=*/11, /*edits=*/10000, /*clique=*/14,
+                  /*truss_every=*/100);
+}
+
 TEST(DynamicCommunityIndex, CompactRebasesWithoutChangingAnswers) {
   Rng rng(1234);
   const auto idx_or =
@@ -219,6 +413,30 @@ TEST(DynamicCommunityIndex, CompactRebasesWithoutChangingAnswers) {
   const auto community_after = idx.KCoreCommunity(3);
   ASSERT_TRUE(community_after.ok());
   EXPECT_EQ(*community_after, *community_before);
+}
+
+uint64_t RepairTimings(const char* index) {
+  return obs::MetricsRegistry::Default()
+      .GetHistogram("cgnp_dynamic_repair_ms", {{"index", index}})
+      .Snapshot()
+      .count;
+}
+
+TEST(DynamicCommunityIndex, RecordsRepairTimePerAppliedEdit) {
+  const auto idx_or =
+      DynamicCommunityIndex::Create(Share(testing::PathGraph(4)));
+  ASSERT_TRUE(idx_or.ok()) << idx_or.status();
+  DynamicCommunityIndex& idx = **idx_or;
+  const uint64_t core_before = RepairTimings("core");
+  const uint64_t truss_before = RepairTimings("truss");
+  ASSERT_TRUE(idx.InsertEdge(0, 2).ok());
+  ASSERT_TRUE(idx.InsertEdge(0, 2).ok());  // idempotent: no repair
+  ASSERT_TRUE(idx.DeleteEdge(1, 2).ok());
+  EXPECT_FALSE(idx.DeleteEdge(1, 2).ok());  // rejected: no repair
+  // Only counted when the obs record path is compiled in.
+  const uint64_t expected = CGNP_OBS_ENABLED ? 2 : 0;
+  EXPECT_EQ(RepairTimings("core") - core_before, expected);
+  EXPECT_EQ(RepairTimings("truss") - truss_before, expected);
 }
 
 TEST(SearcherRegistry, IncrementalBackendsAnswerFromTheIndex) {
