@@ -1,4 +1,4 @@
-// Dynamic-graph benchmark: what the delta overlay + incremental indices +
+// Dynamic-graph benchmark: what the graph delta + incremental indices +
 // scoped invalidation buy over the static-world alternatives.
 //
 // Four cases, all deterministic (single serving thread, fixed seeds):
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       }));
       // The eager alternative rebuilds both indices from scratch at the
       // final state -- what a static system pays PER BATCH to stay fresh.
-      const auto snapshot = index->Compact();
+      const auto snapshot = index->Compact().base;
       rebuild_samples.push_back(TimeMs([&] {
         auto rebuilt = DynamicCommunityIndex::Create(snapshot);
         if (!rebuilt.ok()) std::fprintf(stderr, "rebuild failed\n");

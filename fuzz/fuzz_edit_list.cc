@@ -4,11 +4,15 @@
 // (tools/graph_convert apply-edits feeds user files straight in), so any
 // byte sequence must come back as Status, never an abort; ids far outside
 // the graph, self loops and deletes of absent edges all have dedicated
-// error paths this harness keeps honest.
+// error paths this harness keeps honest. The target is also differential:
+// the compacted snapshot must hold exactly the delta's edges, row for row,
+// or it traps.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "graph/delta.h"
 #include "graph/graph.h"
@@ -41,6 +45,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Status; whatever prefix applied must still compact cleanly.
   (void)cgnp::ApplyEditList(&delta, *edits);
   const cgnp::Graph compacted = delta.Compact();
-  (void)compacted.num_edges();
+  if (compacted.num_edges() != delta.num_edges()) __builtin_trap();
+  for (cgnp::NodeId v = 0; v < compacted.num_nodes(); ++v) {
+    const auto row = compacted.Neighbors(v);
+    const std::vector<cgnp::NodeId>& want = delta.NeighborsOf(v);
+    if (!std::equal(row.begin(), row.end(), want.begin(), want.end())) {
+      __builtin_trap();
+    }
+  }
   return 0;
 }

@@ -16,15 +16,6 @@ namespace {
 
 constexpr NodeId kNone = -1;  // no node: end of a level list
 
-void InsertSorted(std::vector<NodeId>* row, NodeId v) {
-  row->insert(std::lower_bound(row->begin(), row->end(), v), v);
-}
-
-void EraseSorted(std::vector<NodeId>* row, NodeId v) {
-  const auto it = std::lower_bound(row->begin(), row->end(), v);
-  if (it != row->end() && *it == v) row->erase(it);
-}
-
 // Intersection of two sorted rows: the common neighbors of an edge's
 // endpoints, i.e. the third corners of its triangles.
 std::vector<NodeId> CommonNeighbors(const std::vector<NodeId>& a,
@@ -33,15 +24,6 @@ std::vector<NodeId> CommonNeighbors(const std::vector<NodeId>& a,
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   return out;
-}
-
-SortedAdjacency MirrorAdjacency(const Graph& g) {
-  SortedAdjacency adj(static_cast<size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto nb = g.Neighbors(v);
-    adj[v].assign(nb.begin(), nb.end());
-  }
-  return adj;
 }
 
 }  // namespace
@@ -526,10 +508,9 @@ StatusOr<std::shared_ptr<DynamicCommunityIndex>> DynamicCommunityIndex::Create(
 }
 
 DynamicCommunityIndex::DynamicCommunityIndex(std::shared_ptr<const Graph> base)
-    : delta_(std::make_unique<GraphDelta>(std::move(base))),
-      adj_(MirrorAdjacency(delta_->base())),
-      core_(delta_->base()),
-      truss_(delta_->base()),
+    : delta_(std::move(base)),
+      core_(delta_.base()),
+      truss_(delta_.base()),
       core_repair_ms_(&obs::MetricsRegistry::Default().GetHistogram(
           "cgnp_dynamic_repair_ms", {{"index", "core"}})),
       truss_repair_ms_(&obs::MetricsRegistry::Default().GetHistogram(
@@ -548,32 +529,25 @@ Status DynamicCommunityIndex::Apply(const GraphEdit& edit, bool* applied) {
   const NodeId u = edit.u;
   const NodeId v = edit.v;
   std::unique_lock lock(mu_);
-  const uint64_t before = delta_->version();
-  CGNP_RETURN_IF_ERROR(edit.insert ? delta_->InsertEdge(u, v)
-                                   : delta_->DeleteEdge(u, v));
+  const uint64_t before = delta_.version();
+  CGNP_RETURN_IF_ERROR(delta_.Apply(edit));
   // Idempotent re-insert: the delta accepted it as a no-op (version
-  // unchanged), so the adjacency and indices must not see it either.
-  if (delta_->version() == before) return Status::Ok();
+  // unchanged), so the indices must not see it either.
+  if (delta_.version() == before) return Status::Ok();
   if (applied != nullptr) *applied = true;
-  if (edit.insert) {
-    InsertSorted(&adj_[u], v);
-    InsertSorted(&adj_[v], u);
-  } else {
-    EraseSorted(&adj_[u], v);
-    EraseSorted(&adj_[v], u);
-  }
+  const SortedAdjacency& adj = delta_.adjacency();
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   if (edit.insert) {
-    core_.OnInsert(adj_, u, v);
+    core_.OnInsert(adj, u, v);
   } else {
-    core_.OnDelete(adj_, u, v);
+    core_.OnDelete(adj, u, v);
   }
   const auto t1 = Clock::now();
   if (edit.insert) {
-    truss_.OnInsert(adj_, u, v);
+    truss_.OnInsert(adj, u, v);
   } else {
-    truss_.OnDelete(adj_, u, v);
+    truss_.OnDelete(adj, u, v);
   }
   const auto t2 = Clock::now();
   core_repair_ms_->Record(
@@ -584,10 +558,10 @@ Status DynamicCommunityIndex::Apply(const GraphEdit& edit, bool* applied) {
 }
 
 Status DynamicCommunityIndex::ValidateQuery(NodeId q) const {
-  if (delta_->num_nodes() == 0) {
+  if (delta_.num_nodes() == 0) {
     return InvalidArgumentError("cannot search an empty graph");
   }
-  return CheckNodeId(delta_->base(), q, "query");
+  return CheckNodeId(delta_.base(), q, "query");
 }
 
 StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KCoreCommunity(
@@ -595,7 +569,7 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KCoreCommunity(
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
   const std::vector<int64_t>& core = core_.core();
-  const SortedAdjacency& adj = adj_;
+  const SortedAdjacency& adj = delta_.adjacency();
   // Same contract as the batch KCoreCommunity: k = -1 means the maximal
   // feasible k for q (its core number), k = 0 is trivially {q}.
   if (k < 0) k = core[q];
@@ -629,7 +603,7 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
     NodeId q, int64_t k) const {
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
-  const SortedAdjacency& adj = adj_;
+  const SortedAdjacency& adj = delta_.adjacency();
   if (k < 0) {
     // Max feasible k for q: the strongest truss among q's incident edges
     // (2 when q has edges but no triangles, 1 when isolated) -- the
@@ -675,44 +649,37 @@ std::vector<int64_t> DynamicCommunityIndex::CurrentCoreNumbers() const {
 
 int64_t DynamicCommunityIndex::CurrentTrussOf(NodeId u, NodeId v) const {
   std::shared_lock lock(mu_);
-  return truss_.TrussOf(adj_, u, v);
+  return truss_.TrussOf(delta_.adjacency(), u, v);
 }
 
 Status DynamicCommunityIndex::CheckCoreOrder() const {
   std::shared_lock lock(mu_);
-  return core_.CheckOrder(adj_);
+  return core_.CheckOrder(delta_.adjacency());
 }
 
 uint64_t DynamicCommunityIndex::version() const {
   std::shared_lock lock(mu_);
-  return delta_->version();
+  return delta_.version();
 }
 
 int64_t DynamicCommunityIndex::delta_depth() const {
   std::shared_lock lock(mu_);
-  return delta_->depth();
+  return delta_.depth();
 }
 
 int64_t DynamicCommunityIndex::num_nodes() const {
   std::shared_lock lock(mu_);
-  return delta_->num_nodes();
+  return delta_.num_nodes();
 }
 
 int64_t DynamicCommunityIndex::num_edges() const {
   std::shared_lock lock(mu_);
-  return delta_->num_edges();
+  return delta_.num_edges();
 }
 
-std::vector<NodeId> DynamicCommunityIndex::DirtyNodes() const {
-  std::shared_lock lock(mu_);
-  return delta_->DirtyNodes();
-}
-
-std::shared_ptr<const Graph> DynamicCommunityIndex::Compact() {
+GraphDelta::Rebased DynamicCommunityIndex::Compact() {
   std::unique_lock lock(mu_);
-  auto snapshot = std::make_shared<const Graph>(delta_->Compact());
-  delta_ = std::make_unique<GraphDelta>(snapshot, delta_->version());
-  return snapshot;
+  return delta_.Rebase();
 }
 
 // --- Registry adapters ------------------------------------------------------

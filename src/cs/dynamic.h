@@ -1,4 +1,4 @@
-// Incremental community-search maintenance over a versioned delta overlay
+// Incremental community-search maintenance over the one mutable graph
 // (graph/delta.h): k-core and k-truss numbers kept current under edge
 // insertions and deletions by local repair, instead of from-scratch
 // recomputation per edit.
@@ -34,13 +34,13 @@
 // k-order invariants after every edit -- the acceptance contract of this
 // file.
 //
-// DynamicCommunityIndex bundles a GraphDelta, the one sorted adjacency
-// both indices read, and both indices behind one internally-locked facade
-// (queries take a shared lock, edits an exclusive one). It answers the
-// same community questions as the batch KCoreCommunity / KTrussCommunity
-// -- including output order -- at the delta's current version, and
-// reaches the registry as the "kcore_inc" / "ktruss_inc" backends via
-// SearcherConfig::dynamic_index.
+// DynamicCommunityIndex bundles a GraphDelta, whose sorted rows both
+// indices and both community BFSes read, and both indices behind one
+// internally-locked facade (queries take a shared lock, edits an exclusive
+// one). It answers the same community questions as the batch
+// KCoreCommunity / KTrussCommunity -- including output order -- at the
+// delta's current version, and reaches the registry as the "kcore_inc" /
+// "ktruss_inc" backends via SearcherConfig::dynamic_index.
 #ifndef CGNP_CS_DYNAMIC_H_
 #define CGNP_CS_DYNAMIC_H_
 
@@ -59,10 +59,6 @@
 #include "obs/metrics.h"
 
 namespace cgnp {
-
-// Current adjacency, one sorted row per node: the edge set at the delta's
-// version, in the CSR order of a compacted snapshot.
-using SortedAdjacency = std::vector<std::vector<NodeId>>;
 
 // Core numbers under maintenance, seeded from a peel of the base graph.
 // OnInsert/OnDelete must be called exactly once per edge actually applied,
@@ -158,7 +154,7 @@ class IncrementalTrussIndex {
   std::vector<std::vector<int32_t>> truss_;  // rows parallel to adj
 };
 
-// Delta + adjacency + both incremental indices behind one internally-locked
+// Delta + both incremental indices behind one internally-locked
 // facade: edits lock exclusively, queries share. Community answers are
 // identical -- members and order -- to the batch KCoreCommunity /
 // KTrussCommunity run on a compacted snapshot of the same version.
@@ -200,13 +196,14 @@ class DynamicCommunityIndex {
   int64_t delta_depth() const;
   int64_t num_nodes() const;
   int64_t num_edges() const;
-  std::vector<NodeId> DirtyNodes() const;
 
-  // Folds the delta into a fresh snapshot and rebases the internal delta
-  // onto it, version lineage preserved. The maintained core/truss values
-  // are already current and carry over untouched. Returns the new
-  // snapshot (shared with the rebased delta).
-  std::shared_ptr<const Graph> Compact();
+  // Folds the delta into a fresh snapshot and rebases the delta onto it in
+  // place (GraphDelta::Rebase), version lineage preserved. The rows and
+  // the maintained core/truss values are already current and carry over
+  // untouched. Returns the new snapshot (shared with the delta) with its
+  // version and the nodes the folded edits dirtied, all read under one
+  // writer lock, so no concurrent edit can fall between them.
+  GraphDelta::Rebased Compact();
 
  private:
   explicit DynamicCommunityIndex(std::shared_ptr<const Graph> base);
@@ -214,8 +211,7 @@ class DynamicCommunityIndex {
   Status ValidateQuery(NodeId q) const;  // caller holds a lock
 
   mutable std::shared_mutex mu_;
-  std::unique_ptr<GraphDelta> delta_;
-  SortedAdjacency adj_;  // the delta's current edge set, updated once per edit
+  GraphDelta delta_;
   IncrementalCoreIndex core_;
   IncrementalTrussIndex truss_;
   // cgnp_dynamic_repair_ms{index="core"|"truss"}: repair time per applied

@@ -9,50 +9,34 @@ namespace cgnp {
 
 namespace {
 
-// Sorted-vector insert / erase, the overlay row primitives. Rows stay
-// sorted so NeighborsOf is a pair of linear merges and HasEdge a binary
-// search, mirroring the CSR's sorted-adjacency guarantee.
-void InsertSorted(std::vector<NodeId>* row, NodeId v) {
-  row->insert(std::lower_bound(row->begin(), row->end(), v), v);
-}
-
-void EraseSorted(std::vector<NodeId>* row, NodeId v) {
-  const auto it = std::lower_bound(row->begin(), row->end(), v);
-  if (it != row->end() && *it == v) row->erase(it);
-}
-
-bool ContainsSorted(const std::vector<NodeId>& row, NodeId v) {
-  return std::binary_search(row.begin(), row.end(), v);
-}
-
 std::string EdgeName(NodeId u, NodeId v) {
   return std::to_string(u) + "-" + std::to_string(v);
 }
 
+Status CheckEdge(const Graph& g, NodeId u, NodeId v) {
+  CGNP_RETURN_IF_ERROR(CheckNodeId(g, u, "edge endpoint"));
+  CGNP_RETURN_IF_ERROR(CheckNodeId(g, v, "edge endpoint"));
+  if (u == v) {
+    return InvalidArgumentError("self loop " + EdgeName(u, v) +
+                                " rejected: graphs are loop-free");
+  }
+  return Status::Ok();
+}
+
+// Where v sits, or would sit, in the sorted row.
+std::vector<NodeId>::iterator SlotIn(std::vector<NodeId>* row, NodeId v) {
+  return std::lower_bound(row->begin(), row->end(), v);
+}
+
 }  // namespace
 
-GraphDelta::GraphDelta(std::shared_ptr<const Graph> base,
-                       uint64_t base_version)
+GraphDelta::GraphDelta(std::shared_ptr<const Graph> base)
     : base_(std::move(base)),
-      version_(base_version),
-      num_edges_(base_->num_edges()) {}
-
-const std::vector<NodeId>* GraphDelta::RowOf(const Overlay& o, NodeId v) {
-  const auto it = o.find(v);
-  return it == o.end() ? nullptr : &it->second;
-}
-
-void GraphDelta::OverlayInsert(Overlay* o, NodeId u, NodeId v) {
-  InsertSorted(&(*o)[u], v);
-  InsertSorted(&(*o)[v], u);
-}
-
-void GraphDelta::OverlayErase(Overlay* o, NodeId u, NodeId v) {
-  for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-    const auto it = o->find(a);
-    if (it == o->end()) continue;
-    EraseSorted(&it->second, b);
-    if (it->second.empty()) o->erase(it);
+      rows_(static_cast<size_t>(base_->num_nodes())),
+      num_edges_(base_->num_edges()) {
+  for (NodeId v = 0; v < base_->num_nodes(); ++v) {
+    const auto nb = base_->Neighbors(v);
+    rows_[v].assign(nb.begin(), nb.end());
   }
 }
 
@@ -63,92 +47,33 @@ void GraphDelta::MarkEdited(NodeId u, NodeId v) {
   ++depth_;
 }
 
-int64_t GraphDelta::Degree(NodeId v) const {
-  int64_t deg = base_->Degree(v);
-  if (const auto* add = RowOf(added_, v)) {
-    deg += static_cast<int64_t>(add->size());
-  }
-  if (const auto* rem = RowOf(removed_, v)) {
-    deg -= static_cast<int64_t>(rem->size());
-  }
-  return deg;
-}
-
 bool GraphDelta::HasEdge(NodeId u, NodeId v) const {
-  if (const auto* add = RowOf(added_, u)) {
-    if (ContainsSorted(*add, v)) return true;
-  }
-  if (const auto* rem = RowOf(removed_, u)) {
-    if (ContainsSorted(*rem, v)) return false;
-  }
-  return base_->HasEdge(u, v);
-}
-
-std::vector<NodeId> GraphDelta::NeighborsOf(NodeId v) const {
-  const auto nb = base_->Neighbors(v);
-  const auto* add = RowOf(added_, v);
-  const auto* rem = RowOf(removed_, v);
-  std::vector<NodeId> out;
-  out.reserve(nb.size() + (add ? add->size() : 0));
-  if (rem != nullptr) {
-    std::set_difference(nb.begin(), nb.end(), rem->begin(), rem->end(),
-                        std::back_inserter(out));
-  } else {
-    out.assign(nb.begin(), nb.end());
-  }
-  if (add != nullptr) {
-    std::vector<NodeId> merged;
-    merged.reserve(out.size() + add->size());
-    std::merge(out.begin(), out.end(), add->begin(), add->end(),
-               std::back_inserter(merged));
-    out = std::move(merged);
-  }
-  return out;
+  return std::binary_search(rows_[u].begin(), rows_[u].end(), v);
 }
 
 Status GraphDelta::InsertEdge(NodeId u, NodeId v) {
-  CGNP_RETURN_IF_ERROR(CheckNodeId(*base_, u, "edge endpoint"));
-  CGNP_RETURN_IF_ERROR(CheckNodeId(*base_, v, "edge endpoint"));
-  if (u == v) {
-    return InvalidArgumentError("self loop " + EdgeName(u, v) +
-                                " rejected: graphs are loop-free");
+  CGNP_RETURN_IF_ERROR(CheckEdge(*base_, u, v));
+  const auto slot = SlotIn(&rows_[u], v);
+  if (slot != rows_[u].end() && *slot == v) {
+    return Status::Ok();  // idempotent, version unchanged
   }
-  if (HasEdge(u, v)) return Status::Ok();  // idempotent, version unchanged
-  if (const auto* rem = RowOf(removed_, u);
-      rem != nullptr && ContainsSorted(*rem, v)) {
-    // Re-inserting a tombstoned base edge revokes the tombstone.
-    OverlayErase(&removed_, u, v);
-    --num_removed_;
-  } else {
-    OverlayInsert(&added_, u, v);
-    ++num_added_;
-  }
+  rows_[u].insert(slot, v);
+  rows_[v].insert(SlotIn(&rows_[v], u), u);
   ++num_edges_;
   MarkEdited(u, v);
   return Status::Ok();
 }
 
 Status GraphDelta::DeleteEdge(NodeId u, NodeId v) {
-  CGNP_RETURN_IF_ERROR(CheckNodeId(*base_, u, "edge endpoint"));
-  CGNP_RETURN_IF_ERROR(CheckNodeId(*base_, v, "edge endpoint"));
-  if (u == v) {
-    return InvalidArgumentError("self loop " + EdgeName(u, v) +
-                                " rejected: graphs are loop-free");
-  }
-  if (!HasEdge(u, v)) {
+  CGNP_RETURN_IF_ERROR(CheckEdge(*base_, u, v));
+  const auto slot = SlotIn(&rows_[u], v);
+  if (slot == rows_[u].end() || *slot != v) {
     return NotFoundError("edge " + EdgeName(u, v) +
                          " not present at version " +
                          std::to_string(version_));
   }
-  if (const auto* add = RowOf(added_, u);
-      add != nullptr && ContainsSorted(*add, v)) {
-    // Deleting an overlay insert just drops it again.
-    OverlayErase(&added_, u, v);
-    --num_added_;
-  } else {
-    OverlayInsert(&removed_, u, v);
-    ++num_removed_;
-  }
+  rows_[u].erase(slot);
+  rows_[v].erase(SlotIn(&rows_[v], u));
   --num_edges_;
   MarkEdited(u, v);
   return Status::Ok();
@@ -169,9 +94,9 @@ Graph GraphDelta::Compact() const {
   const int64_t n = base_->num_nodes();
   GraphBuilder b(n);
   for (NodeId v = 0; v < n; ++v) {
-    // Ids come from the merged view, already validated against n, so
+    // Ids in the rows were validated against n on the way in, so
     // AddEdge's range invariant holds by construction.
-    for (const NodeId u : NeighborsOf(v)) {
+    for (const NodeId u : rows_[v]) {
       if (u > v) b.AddEdge(v, u);
     }
   }
@@ -189,6 +114,15 @@ Graph GraphDelta::Compact() const {
     b.SetCommunities(std::vector<int64_t>(c.begin(), c.end()));
   }
   return b.Build();
+}
+
+GraphDelta::Rebased GraphDelta::Rebase() {
+  Rebased out{std::make_shared<const Graph>(Compact()), version_,
+              DirtyNodes()};
+  base_ = out.base;
+  depth_ = 0;
+  dirty_.clear();
+  return out;
 }
 
 namespace {

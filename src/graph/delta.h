@@ -1,16 +1,19 @@
-// Edit overlay over an immutable Graph snapshot -- the write half of the
-// versioned snapshot + delta architecture (see graph/view.h for the read
-// half and docs/ARCHITECTURE.md for the layer map).
+// The one mutable graph: an immutable Graph snapshot plus the current edge
+// set, one sorted row per node -- the write half of the versioned
+// snapshot + delta architecture (docs/ARCHITECTURE.md, "Dynamic graphs").
 //
-// A GraphDelta borrows a compacted base snapshot and records edge
-// insertions and deletions (tombstones) against it without touching the
-// CSR. Reads route through the GraphView interface and see the merged
-// state; every applied edit advances version() by exactly one and marks
-// both endpoints dirty, so downstream caches can invalidate by region
-// (core/context_cache.h) instead of flushing. Compact() folds the
-// overlay into a fresh snapshot that is bitwise identical -- row_ptr and
-// col_idx both -- to a from-scratch GraphBuilder build of the surviving
-// edge set, which is what tests/graph_delta_test.cc pins.
+// A GraphDelta borrows a compacted base snapshot, seeds its rows from the
+// base CSR once, and applies edge insertions and deletions to those rows
+// without touching the CSR. The rows are the graph at version(), in the
+// CSR order of a compacted snapshot, so the incremental indices of
+// cs/dynamic.h read them directly through adjacency(). Memory is O(n + m)
+// for the rows, whatever the number of edits. Every applied edit inserts
+// or erases exactly one slot in each endpoint's row, advances version()
+// by exactly one and marks both endpoints dirty, so downstream caches can
+// invalidate by region (core/context_cache.h) instead of flushing.
+// Compact() feeds the rows to GraphBuilder, so the snapshot it returns is
+// bitwise identical -- row_ptr and col_idx both -- to a from-scratch build
+// of the same edge set, which is what tests/graph_delta_test.cc pins.
 //
 // Mutation contract (all paths return Status, never abort -- this file is
 // under the cgnp-no-abort lint rule like the other user-input-reachable
@@ -22,8 +25,10 @@
 //     comparing version() around the call)
 //   * DeleteEdge of an edge not present         -> NotFound
 // Node ids are fixed by the base snapshot: the delta edits edges only.
-// Deltas are not serialised -- a CGRF container always stores a compacted
-// snapshot (docs/GRAPH_FORMAT.md).
+// The read accessors (Degree / HasEdge / NeighborsOf) require ids in
+// [0, num_nodes()); callers holding external input gate them through
+// CheckNodeId() (graph/graph.h) first. Deltas are not serialised -- a CGRF
+// container always stores a compacted snapshot (docs/GRAPH_FORMAT.md).
 //
 // Thread safety: none. A delta is a single-writer object; the serving
 // layer wraps it in DynamicCommunityIndex (cs/dynamic.h), which owns the
@@ -34,13 +39,11 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "graph/view.h"
 
 namespace cgnp {
 
@@ -51,23 +54,31 @@ struct GraphEdit {
   NodeId v = -1;
 };
 
-class GraphDelta final : public GraphView {
- public:
-  // `base` must be non-null and outlive nothing -- shared ownership keeps
-  // the snapshot (and a mapped container behind it) alive while edits
-  // reference it. `base_version` seeds the version counter so a delta
-  // rebased after Compact() continues the lineage instead of restarting
-  // at zero.
-  explicit GraphDelta(std::shared_ptr<const Graph> base,
-                      uint64_t base_version = 0);
+// Current adjacency, one sorted row per node: the edge set at a delta's
+// version, in the CSR order of a compacted snapshot.
+using SortedAdjacency = std::vector<std::vector<NodeId>>;
 
-  // --- GraphView ------------------------------------------------------------
-  int64_t num_nodes() const override { return base_->num_nodes(); }
-  int64_t num_edges() const override { return num_edges_; }
-  uint64_t version() const override { return version_; }
-  int64_t Degree(NodeId v) const override;
-  bool HasEdge(NodeId u, NodeId v) const override;
-  std::vector<NodeId> NeighborsOf(NodeId v) const override;
+class GraphDelta {
+ public:
+  // `base` must be non-null -- shared ownership keeps the snapshot (and a
+  // mapped container behind it) alive while the delta reads it. The
+  // version starts at 0.
+  explicit GraphDelta(std::shared_ptr<const Graph> base);
+
+  int64_t num_nodes() const { return base_->num_nodes(); }
+  // Number of undirected edges at version().
+  int64_t num_edges() const { return num_edges_; }
+  // Advances by one per applied edit, so two equal versions of the same
+  // lineage imply an identical edge set.
+  uint64_t version() const { return version_; }
+  int64_t Degree(NodeId v) const {
+    return static_cast<int64_t>(rows_[v].size());
+  }
+  bool HasEdge(NodeId u, NodeId v) const;
+  // Sorted neighbour list of v at version().
+  const std::vector<NodeId>& NeighborsOf(NodeId v) const { return rows_[v]; }
+  // All rows at once, for the incremental indices.
+  const SortedAdjacency& adjacency() const { return rows_; }
 
   // --- Mutation (see the contract above) ------------------------------------
   Status InsertEdge(NodeId u, NodeId v);
@@ -76,47 +87,41 @@ class GraphDelta final : public GraphView {
 
   // --- Introspection --------------------------------------------------------
   const Graph& base() const { return *base_; }
-  const std::shared_ptr<const Graph>& base_ptr() const { return base_; }
-  // Applied (non-no-op) edits since construction: version() - base version.
+  // Applied (non-no-op) edits since construction or the last Rebase().
   int64_t depth() const { return depth_; }
-  // Surviving overlay size: edges inserted on top of / tombstoned out of
-  // the base. An insert that revokes a tombstone (or vice versa) shrinks
-  // these, so depth() >= num_added() + num_removed().
-  int64_t num_added() const { return num_added_; }
-  int64_t num_removed() const { return num_removed_; }
   // A node is dirty when some applied edit touched an incident edge. The
   // scoped cache invalidation in serve/ evicts exactly the entries whose
   // task subgraph intersects this set.
   bool IsDirty(NodeId v) const { return dirty_.count(v) > 0; }
   std::vector<NodeId> DirtyNodes() const;  // ascending
 
-  // Folds base + overlay into a fresh vector-backed snapshot, carrying
-  // features, attributes and community labels over from the base. The
-  // result is bitwise identical to GraphBuilder fed the surviving edges
-  // from scratch. The delta itself is left untouched; callers wanting to
-  // continue editing construct a new delta over the result with
-  // base_version = version().
+  // Builds a fresh vector-backed snapshot of the rows, carrying features,
+  // attributes and community labels over from the base. The result is
+  // bitwise identical to GraphBuilder fed the current edges from scratch.
+  // The delta itself is left untouched.
   Graph Compact() const;
+  // What one Rebase() folded: the new base, the version it holds, and the
+  // nodes dirtied since the previous base. Taken in one step, so a caller
+  // that locks around Rebase() gets a dirty set that covers exactly the
+  // edits in the snapshot.
+  struct Rebased {
+    std::shared_ptr<const Graph> base;
+    uint64_t version = 0;
+    std::vector<NodeId> dirty;  // ascending
+  };
+  // Compact(), then makes the result the base: version() carries on, and
+  // depth() and the dirty set start again from empty. The rows already
+  // hold the new base's edge set and are kept as they are.
+  Rebased Rebase();
 
  private:
-  // Sorted per-node overlay rows; absent key = empty. removed_ rows are
-  // always subsets of the base adjacency, added_ rows always disjoint
-  // from it.
-  using Overlay = std::unordered_map<NodeId, std::vector<NodeId>>;
-
-  static const std::vector<NodeId>* RowOf(const Overlay& o, NodeId v);
-  void OverlayInsert(Overlay* o, NodeId u, NodeId v);
-  void OverlayErase(Overlay* o, NodeId u, NodeId v);
   void MarkEdited(NodeId u, NodeId v);
 
   std::shared_ptr<const Graph> base_;
+  SortedAdjacency rows_;
   uint64_t version_ = 0;
   int64_t depth_ = 0;
   int64_t num_edges_ = 0;
-  int64_t num_added_ = 0;
-  int64_t num_removed_ = 0;
-  Overlay added_;
-  Overlay removed_;
   std::unordered_set<NodeId> dirty_;
 };
 

@@ -46,20 +46,21 @@ Status DynamicGraphServer::ApplyUpdate(const GraphEdit& edit) {
   // another client's edit lands in between.
   bool applied = false;
   const Status s = index_->Apply(edit, &applied);
-  bool compact_now = false;
   {
     std::unique_lock lock(mu_);
     if (!s.ok()) {
       ++updates_rejected_;
     } else if (applied) {
       ++updates_applied_;
-      ++edits_since_compact_;
     }
-    compact_now = options_.compact_every > 0 &&
-                  edits_since_compact_ >= options_.compact_every;
   }
   if (!s.ok()) return s;
-  if (compact_now) Compact();
+  // The delta depth is the one count of pending edits: an edit landing
+  // between the index's compaction and this check is still counted.
+  if (options_.compact_every > 0 &&
+      index_->delta_depth() >= options_.compact_every) {
+    CompactAtDepth(options_.compact_every);
+  }
   return Status::Ok();
 }
 
@@ -86,22 +87,28 @@ SearchResponse DynamicGraphServer::Serve(SearchRequest request) {
 }
 
 ContextCache::InvalidationResult DynamicGraphServer::Compact() {
+  return CompactAtDepth(1);
+}
+
+ContextCache::InvalidationResult DynamicGraphServer::CompactAtDepth(
+    int64_t min_depth) {
   CGNP_TRACE_SPAN("compact");
   std::unique_lock lock(mu_);
-  if (index_->delta_depth() == 0) return {};
-  // Dirty set BEFORE compaction (the rebased delta starts clean).
-  const std::vector<NodeId> dirty = index_->DirtyNodes();
-  std::shared_ptr<const Graph> snapshot = index_->Compact();
-  const uint64_t new_version = index_->version();
-  const ContextCache::InvalidationResult result =
-      server_->NotifyGraphUpdate(options_.graph_id, new_version, dirty);
-  snapshot_ = std::move(snapshot);
-  snapshot_version_ = new_version;
-  edits_since_compact_ = 0;
+  // Re-checked under mu_, so clients that cross the auto-compaction
+  // threshold together compact once, not once each.
+  if (index_->delta_depth() < min_depth) return {};
+  // Snapshot, version and dirty set come from one index writer lock: an
+  // edit landing concurrently is either in all three or in none, and then
+  // stays dirty for the next compaction.
+  GraphDelta::Rebased rebased = index_->Compact();
+  const ContextCache::InvalidationResult result = server_->NotifyGraphUpdate(
+      options_.graph_id, rebased.version, rebased.dirty);
+  snapshot_ = std::move(rebased.base);
+  snapshot_version_ = rebased.version;
   ++compactions_;
   CGNP_LOG(kDebug, "serve_compaction")
-      .Num("version", static_cast<double>(new_version))
-      .Num("dirty_nodes", static_cast<double>(dirty.size()))
+      .Num("version", static_cast<double>(rebased.version))
+      .Num("dirty_nodes", static_cast<double>(rebased.dirty.size()))
       .Num("cache_evicted", static_cast<double>(result.evicted))
       .Num("cache_retained", static_cast<double>(result.retained));
   return result;

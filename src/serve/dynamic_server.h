@@ -5,20 +5,22 @@
 // The serving discipline resolves the tension between the learned
 // pipeline (which needs an immutable CSR Graph to sample tasks from) and
 // a graph that keeps changing:
-//   * Edits flow into the incremental index's delta overlay; its k-core /
-//     k-truss numbers are repaired locally per edit, so the incremental
-//     backends ("kcore_inc"/"ktruss_inc") always answer FRESH, at the
-//     delta's current version.
+//   * Edits flow into the incremental index's delta (graph/delta.h: the
+//     one mutable copy of the edge set, O(n + m) sorted rows); its
+//     k-core / k-truss numbers are repaired locally per edit, so the
+//     incremental backends ("kcore_inc"/"ktruss_inc") always answer
+//     FRESH, at the delta's current version.
 //   * Learned ("cgnp") and classical batch backends answer from the last
 //     compacted snapshot -- bounded staleness, measured exactly by the
 //     delta depth at serve time and bounded by Options::compact_every.
-//   * Compaction folds the delta into a new snapshot, rebases the index,
-//     and announces the update to the QueryServer: the context cache is
-//     scopedly invalidated -- entries whose task subgraph avoids the dirty
-//     region are re-keyed to the new version (still numerically exact),
-//     the rest are dropped. Requests are stamped with the serving
-//     snapshot's version, so a stale context can never answer a
-//     new-version request.
+//   * Compaction folds the delta into a new snapshot, rebases the index
+//     in place (snapshot, version and dirty set taken under one index
+//     writer lock), and announces the update to the QueryServer: the
+//     context cache is scopedly invalidated -- entries whose task
+//     subgraph avoids the dirty region are re-keyed to the new version
+//     (still numerically exact), the rest are dropped. Requests are
+//     stamped with the serving snapshot's version, so a stale context
+//     can never answer a new-version request.
 //
 // Thread safety: ApplyUpdate / Compact / Serve / stats may be called
 // concurrently from any threads. Edits serialise behind the index's
@@ -50,10 +52,11 @@ class DynamicGraphServer {
     // Cache/metrics namespace for the served graph. For mapped snapshots
     // Graph::storage_fingerprint() is the natural value.
     uint64_t graph_id = 1;
-    // Auto-compact after this many applied (version-advancing) edits;
-    // <= 0 disables auto-compaction (Compact() still works). This is the
-    // staleness bound for snapshot-serving backends: a served answer lags
-    // the freshest version by at most compact_every - 1 edits.
+    // Auto-compact once the delta depth -- applied (version-advancing)
+    // edits since the last compaction -- reaches this; <= 0 disables
+    // auto-compaction (Compact() still works). This is the staleness
+    // bound for snapshot-serving backends: a served answer lags the
+    // freshest version by at most compact_every - 1 edits.
     int64_t compact_every = 64;
   };
 
@@ -105,16 +108,18 @@ class DynamicGraphServer {
                      std::shared_ptr<const Graph> base,
                      std::unique_ptr<QueryServer> server, Options options);
 
+  // Compact() when the delta depth is at least `min_depth`, else a no-op.
+  ContextCache::InvalidationResult CompactAtDepth(int64_t min_depth);
+
   const Options options_;
   std::shared_ptr<DynamicCommunityIndex> index_;
   std::unique_ptr<QueryServer> server_;
 
-  // Serving snapshot + version + edit bookkeeping; mu_ is shared for
+  // Serving snapshot + version + edit counters; mu_ is shared for
   // Serve (pin the snapshot) and exclusive for compaction rollover.
   mutable std::shared_mutex mu_;
   std::shared_ptr<const Graph> snapshot_;
   uint64_t snapshot_version_ = 0;
-  int64_t edits_since_compact_ = 0;
   uint64_t updates_applied_ = 0;
   uint64_t updates_rejected_ = 0;
   uint64_t compactions_ = 0;

@@ -225,6 +225,71 @@ TEST(DynamicGraphServer, ScopedInvalidationKeepsUntouchedRegionsServing) {
   EXPECT_EQ(dstats.snapshot_version, dstats.version);
 }
 
+// A compaction racing with an edit must evict the contexts the edit
+// touches, never re-key them to the new version as still exact. A churn
+// thread toggles a far edge on island 0 with compact_every = 1, so some
+// compaction is nearly always under way. Each round caches q's context on
+// island 1, edits an edge at q from this thread, compacts, and requires q
+// to miss: its context predates the edit.
+TEST(DynamicGraphServer, ConcurrentCompactionEvictsContextsOfFoldedEdits) {
+  const auto base = std::make_shared<const Graph>(TwoIslandGraph());
+  const CommunitySearchEngine engine = TrainedEngine(*base);
+  DynamicGraphServer::Options opt;
+  opt.serve.num_threads = 1;
+  opt.serve.cache_capacity = 64;
+  opt.graph_id = 7;
+  opt.compact_every = 1;
+  auto server_or = DynamicGraphServer::Create(&engine, base, opt);
+  ASSERT_TRUE(server_or.ok()) << server_or.status();
+  DynamicGraphServer& server = **server_or;
+
+  const NodeId q = base->num_nodes() / 2;
+  NodeId other = -1;
+  for (NodeId v = q + 1; v < base->num_nodes(); ++v) {
+    if (!base->HasEdge(q, v)) {
+      other = v;
+      break;
+    }
+  }
+  NodeId far = -1;
+  for (NodeId v = 2; v < q; ++v) {
+    if (!base->HasEdge(1, v)) {
+      far = v;
+      break;
+    }
+  }
+  ASSERT_NE(other, -1);
+  ASSERT_NE(far, -1);
+  const auto serve_q = [&server, q] {
+    SearchRequest req;
+    req.query = q;
+    return server.Serve(req);
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> churn_failures{0};
+  std::thread churn([&server, &stop, &churn_failures, far] {
+    for (bool insert = true; !stop.load(); insert = !insert) {
+      const Status s =
+          insert ? server.InsertEdge(1, far) : server.DeleteEdge(1, far);
+      if (!s.ok()) churn_failures.fetch_add(1);
+    }
+  });
+  for (int round = 0; round < 40; ++round) {
+    ASSERT_TRUE(serve_q().status.ok());
+    const Status s = round % 2 == 0 ? server.InsertEdge(q, other)
+                                    : server.DeleteEdge(q, other);
+    ASSERT_TRUE(s.ok()) << s;
+    (void)server.Compact();
+    const SearchResponse again = serve_q();
+    ASSERT_TRUE(again.status.ok()) << again.status;
+    EXPECT_FALSE(again.cache_hit) << "round " << round;
+  }
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(churn_failures.load(), 0);
+}
+
 TEST(DynamicGraphServer, AutoCompactionBoundsStaleness) {
   const auto base = std::make_shared<const Graph>(TwoIslandGraph(9));
   DynamicGraphServer::Options opt;
@@ -255,6 +320,50 @@ TEST(DynamicGraphServer, AutoCompactionBoundsStaleness) {
   // Rejected edits are counted, not fatal.
   EXPECT_FALSE(server.DeleteEdge(0, 0).ok());
   EXPECT_EQ(server.dynamic_stats().updates_rejected, 1u);
+}
+
+// Auto-compaction is keyed on the delta depth and re-checked under the
+// server lock, so writers that cross the threshold together compact once:
+// every compaction folds at least compact_every edits, and no edit is left
+// above the bound once the writers are done.
+TEST(DynamicGraphServer, ConcurrentWritersCompactOncePerThreshold) {
+  const auto base = std::make_shared<const Graph>(TwoIslandGraph(13));
+  DynamicGraphServer::Options opt;
+  opt.serve.backend = "kcore";
+  opt.serve.num_threads = 1;
+  opt.compact_every = 8;
+  auto server_or = DynamicGraphServer::Create(nullptr, base, opt);
+  ASSERT_TRUE(server_or.ok()) << server_or.status();
+  DynamicGraphServer& server = **server_or;
+
+  // Each writer toggles its own absent pairs, so every edit applies.
+  constexpr int kWriters = 4;
+  const int64_t n = base->num_nodes();
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> pairs(kWriters);
+  int next = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (!base->HasEdge(u, v)) pairs[next++ % kWriters].emplace_back(u, v);
+    }
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&server, &failures, &mine = pairs[t]] {
+      for (int i = 0; i < 500; ++i) {
+        const auto& [u, v] = mine[static_cast<size_t>(i) % mine.size()];
+        if (!server.InsertEdge(u, v).ok()) failures.fetch_add(1);
+        if (!server.DeleteEdge(u, v).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto stats = server.dynamic_stats();
+  EXPECT_EQ(stats.updates_applied, uint64_t{kWriters} * 1000);
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_LE(stats.compactions * 8, stats.updates_applied);
+  EXPECT_LT(stats.delta_depth, 8);
 }
 
 TEST(DynamicGraphServer, IncrementalBackendServesFreshWithoutCompaction) {

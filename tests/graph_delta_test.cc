@@ -18,18 +18,18 @@ std::shared_ptr<const Graph> Share(Graph g) {
   return std::make_shared<const Graph>(std::move(g));
 }
 
-// The structural acceptance contract of the overlay: compacting a delta
-// must produce the same CSR, byte for byte, as building the final edge
-// set from scratch -- GraphBuilder's canonicalisation is the single
-// source of truth for snapshot layout.
-void ExpectCompactMatchesRebuild(const GraphDelta& delta) {
+using EdgeSet = std::set<std::pair<NodeId, NodeId>>;  // canonical u < v
+
+// The structural acceptance contract of the delta: compacting it must
+// produce the same CSR, byte for byte, as building the expected edge set
+// from scratch -- GraphBuilder's canonicalisation is the single source of
+// truth for snapshot layout. `model` is that edge set, kept independently
+// of the delta by the caller.
+void ExpectCompactMatchesRebuild(const GraphDelta& delta,
+                                 const EdgeSet& model) {
   const Graph compacted = delta.Compact();
   GraphBuilder b(delta.num_nodes());
-  for (NodeId v = 0; v < delta.num_nodes(); ++v) {
-    for (const NodeId u : delta.NeighborsOf(v)) {
-      if (u > v) b.AddEdge(v, u);
-    }
-  }
+  for (const auto& [u, v] : model) b.AddEdge(u, v);
   const Graph rebuilt = b.Build();
   ASSERT_EQ(compacted.num_nodes(), rebuilt.num_nodes());
   const auto rp_c = compacted.row_ptr();
@@ -40,10 +40,10 @@ void ExpectCompactMatchesRebuild(const GraphDelta& delta) {
   ASSERT_TRUE(std::equal(ci_c.begin(), ci_c.end(), ci_r.begin(), ci_r.end()));
 }
 
-TEST(GraphDelta, StartsAtBaseVersionWithNoEdits) {
+TEST(GraphDelta, StartsAtVersionZeroWithNoEdits) {
   const auto base = Share(testing::PathGraph(4));
-  GraphDelta delta(base, /*base_version=*/7);
-  EXPECT_EQ(delta.version(), 7u);
+  GraphDelta delta(base);
+  EXPECT_EQ(delta.version(), 0u);
   EXPECT_EQ(delta.depth(), 0);
   EXPECT_EQ(delta.num_nodes(), 4);
   EXPECT_EQ(delta.num_edges(), 3);
@@ -60,8 +60,6 @@ TEST(GraphDelta, InsertAndDeleteUpdateTheView) {
   EXPECT_EQ(delta.version(), 2u);
   EXPECT_EQ(delta.depth(), 2);
   EXPECT_EQ(delta.num_edges(), 3);
-  EXPECT_EQ(delta.num_added(), 1);
-  EXPECT_EQ(delta.num_removed(), 1);
   EXPECT_TRUE(delta.HasEdge(0, 3));
   EXPECT_TRUE(delta.HasEdge(3, 0));
   EXPECT_FALSE(delta.HasEdge(1, 2));
@@ -106,29 +104,58 @@ TEST(GraphDelta, IdempotentInsertIsANoOpWithoutVersionBump) {
   EXPECT_EQ(delta.num_edges(), 3);
 }
 
-TEST(GraphDelta, ReinsertingTombstonedEdgeRevokesTheTombstone) {
+TEST(GraphDelta, ReinsertingADeletedBaseEdgeRestoresIt) {
   const auto base = Share(testing::PathGraph(3));
   GraphDelta delta(base);
   ASSERT_TRUE(delta.DeleteEdge(0, 1).ok());
-  EXPECT_EQ(delta.num_removed(), 1);
+  EXPECT_FALSE(delta.HasEdge(0, 1));
+  EXPECT_EQ(delta.num_edges(), 1);
+  EXPECT_EQ(delta.version(), 1u);
   ASSERT_TRUE(delta.InsertEdge(1, 0).ok());
-  EXPECT_EQ(delta.num_removed(), 0);
-  EXPECT_EQ(delta.num_added(), 0);
   EXPECT_TRUE(delta.HasEdge(0, 1));
   EXPECT_EQ(delta.num_edges(), 2);
   // Two real edits happened even though the edge set is back to the base.
   EXPECT_EQ(delta.version(), 2u);
+  ExpectCompactMatchesRebuild(delta, {{0, 1}, {1, 2}});
 }
 
-TEST(GraphDelta, DeletingOverlayInsertDropsIt) {
+TEST(GraphDelta, DeletingAFreshInsertDropsIt) {
   const auto base = Share(testing::PathGraph(3));
   GraphDelta delta(base);
   ASSERT_TRUE(delta.InsertEdge(0, 2).ok());
+  EXPECT_TRUE(delta.HasEdge(2, 0));
+  EXPECT_EQ(delta.num_edges(), 3);
   ASSERT_TRUE(delta.DeleteEdge(0, 2).ok());
-  EXPECT_EQ(delta.num_added(), 0);
-  EXPECT_EQ(delta.num_removed(), 0);
   EXPECT_FALSE(delta.HasEdge(0, 2));
-  ExpectCompactMatchesRebuild(delta);
+  EXPECT_EQ(delta.num_edges(), 2);
+  EXPECT_EQ(delta.version(), 2u);
+  ExpectCompactMatchesRebuild(delta, {{0, 1}, {1, 2}});
+}
+
+TEST(GraphDelta, RebaseKeepsTheRowsAndTheVersionLineage) {
+  const auto base = Share(testing::PathGraph(4));  // 0-1-2-3
+  GraphDelta delta(base);
+  ASSERT_TRUE(delta.InsertEdge(0, 3).ok());
+  ASSERT_TRUE(delta.DeleteEdge(1, 2).ok());
+  const GraphDelta::Rebased rebased = delta.Rebase();
+  // The new base is the compaction, reported with the version it holds and
+  // the nodes its edits dirtied; the version carries on, the depth and the
+  // dirty set start again.
+  EXPECT_EQ(&delta.base(), rebased.base.get());
+  EXPECT_TRUE(rebased.base->HasEdge(0, 3));
+  EXPECT_FALSE(rebased.base->HasEdge(1, 2));
+  EXPECT_EQ(rebased.version, 2u);
+  EXPECT_EQ(rebased.dirty, (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(delta.version(), 2u);
+  EXPECT_EQ(delta.depth(), 0);
+  EXPECT_TRUE(delta.DirtyNodes().empty());
+  EXPECT_EQ(delta.NeighborsOf(0), (std::vector<NodeId>{1, 3}));
+  // Editing goes on from the rebased state.
+  ASSERT_TRUE(delta.InsertEdge(1, 2).ok());
+  EXPECT_EQ(delta.version(), 3u);
+  EXPECT_EQ(delta.depth(), 1);
+  EXPECT_EQ(delta.DirtyNodes(), (std::vector<NodeId>{1, 2}));
+  ExpectCompactMatchesRebuild(delta, {{0, 1}, {0, 3}, {1, 2}, {2, 3}});
 }
 
 TEST(GraphDelta, CompactCarriesFeaturesAttributesAndCommunities) {
@@ -154,13 +181,14 @@ TEST(GraphDelta, CompactCarriesFeaturesAttributesAndCommunities) {
 
 TEST(GraphDelta, PropertyRandomInterleavingCompactsToFromScratchBuild) {
   // Random edit sequences against a random base; after every burst the
-  // compacted CSR must equal the from-scratch build of the merged view,
-  // and the merged view must track a std::set reference model exactly.
+  // delta must track a std::set reference model exactly -- edge by edge,
+  // degree and row per node, dirty set = endpoints of applied edits --
+  // and its compaction must equal the from-scratch build of the model.
   Rng rng(20260808);
   for (int trial = 0; trial < 20; ++trial) {
     const int64_t n = 2 + rng.NextInt(12);
     GraphBuilder b(n);
-    std::set<std::pair<NodeId, NodeId>> model;  // canonical u < v
+    EdgeSet model;
     for (int64_t e = 0; e < 2 * n; ++e) {
       const NodeId u = rng.NextInt(n);
       const NodeId v = rng.NextInt(n);
@@ -171,35 +199,54 @@ TEST(GraphDelta, PropertyRandomInterleavingCompactsToFromScratchBuild) {
     const auto base = Share(b.Build());
     GraphDelta delta(base);
     uint64_t version = 0;
+    std::set<NodeId> touched;
     for (int step = 0; step < 120; ++step) {
       const NodeId u = rng.NextInt(n);
       const NodeId v = rng.NextInt(n);
       if (u == v) continue;
       const auto key = std::make_pair(std::min(u, v), std::max(u, v));
+      bool applied = false;
       if (rng.Bernoulli(0.5)) {
         const Status s = delta.InsertEdge(u, v);
         ASSERT_TRUE(s.ok()) << s;
-        if (model.insert(key).second) ++version;  // real insert bumps
+        applied = model.insert(key).second;  // real insert bumps
       } else {
         const Status s = delta.DeleteEdge(u, v);
         if (model.erase(key) > 0) {
           ASSERT_TRUE(s.ok()) << s;
-          ++version;
+          applied = true;
         } else {
           ASSERT_EQ(s.code(), StatusCode::kNotFound) << s;
         }
       }
+      if (applied) {
+        ++version;
+        touched.insert({u, v});
+      }
       ASSERT_EQ(delta.version(), version);
       ASSERT_EQ(delta.num_edges(), static_cast<int64_t>(model.size()));
     }
-    // Merged view == reference model, edge by edge.
+    // The delta == reference model, edge by edge and row by row.
+    std::vector<std::vector<NodeId>> rows(static_cast<size_t>(n));
+    for (const auto& [u, v] : model) {
+      rows[u].push_back(v);
+      rows[v].push_back(u);
+    }
     for (NodeId u = 0; u < n; ++u) {
+      std::sort(rows[u].begin(), rows[u].end());
+      ASSERT_EQ(delta.NeighborsOf(u), rows[u])
+          << "trial " << trial << " node " << u;
+      ASSERT_EQ(delta.Degree(u), static_cast<int64_t>(rows[u].size()))
+          << "trial " << trial << " node " << u;
       for (NodeId v = u + 1; v < n; ++v) {
         ASSERT_EQ(delta.HasEdge(u, v), model.count({u, v}) > 0)
             << "trial " << trial << " edge " << u << "-" << v;
       }
     }
-    ExpectCompactMatchesRebuild(delta);
+    ASSERT_EQ(delta.DirtyNodes(),
+              std::vector<NodeId>(touched.begin(), touched.end()))
+        << "trial " << trial;
+    ExpectCompactMatchesRebuild(delta, model);
   }
 }
 
@@ -251,18 +298,6 @@ TEST(ApplyEditList, ErrorsNameTheFailingEdit) {
   // the CLI surfaces the error and discards the delta instead).
   EXPECT_TRUE(delta.HasEdge(0, 2));
   EXPECT_FALSE(delta.HasEdge(0, 1));
-}
-
-TEST(SnapshotView, ForwardsToTheGraph) {
-  const Graph g = testing::PathGraph(3);
-  const SnapshotView view(&g, /*version=*/5);
-  EXPECT_EQ(view.num_nodes(), 3);
-  EXPECT_EQ(view.num_edges(), 2);
-  EXPECT_EQ(view.version(), 5u);
-  EXPECT_EQ(view.Degree(1), 2);
-  EXPECT_TRUE(view.HasEdge(0, 1));
-  EXPECT_FALSE(view.HasEdge(0, 2));
-  EXPECT_EQ(view.NeighborsOf(1), (std::vector<NodeId>{0, 2}));
 }
 
 TEST(CheckNodeId, GatesExternalIds) {

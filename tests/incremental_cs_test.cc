@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,22 @@ void ExpectIndexMatchesSnapshot(const DynamicCommunityIndex& index,
     ASSERT_TRUE(inc_truss.ok()) << context << ": " << inc_truss.status();
     ASSERT_EQ(*inc_truss, KTrussCommunity(snapshot, q))
         << context << " ktruss query " << q;
+  }
+}
+
+// Every node whose row differs between two consecutive compactions must be
+// in the dirty set the later one reported; a missing node would let a
+// cached context of the old version be re-keyed as still exact.
+void ExpectChangesAreDirty(const Graph& before, const Graph& after,
+                           const std::vector<NodeId>& dirty,
+                           const std::string& context) {
+  ASSERT_TRUE(std::is_sorted(dirty.begin(), dirty.end())) << context;
+  for (NodeId v = 0; v < after.num_nodes(); ++v) {
+    const auto a = before.Neighbors(v);
+    const auto b = after.Neighbors(v);
+    if (std::equal(a.begin(), a.end(), b.begin(), b.end())) continue;
+    EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), v))
+        << context << ": node " << v << " changed but is not dirty";
   }
 }
 
@@ -383,8 +400,8 @@ TEST(OrderBasedCoreRepair, SkewedDegreeGraph) {
 
 TEST(DynamicCommunityIndex, CompactRebasesWithoutChangingAnswers) {
   Rng rng(1234);
-  const auto idx_or =
-      DynamicCommunityIndex::Create(Share(RandomGraph(&rng, 16, 30)));
+  const auto base = Share(RandomGraph(&rng, 16, 30));
+  const auto idx_or = DynamicCommunityIndex::Create(base);
   ASSERT_TRUE(idx_or.ok());
   DynamicCommunityIndex& idx = **idx_or;
   for (int step = 0; step < 40; ++step) {
@@ -402,17 +419,85 @@ TEST(DynamicCommunityIndex, CompactRebasesWithoutChangingAnswers) {
   const auto community_before = idx.KCoreCommunity(3);
   ASSERT_TRUE(community_before.ok());
 
-  const std::shared_ptr<const Graph> snapshot = idx.Compact();
+  const GraphDelta::Rebased first = idx.Compact();
+  const std::shared_ptr<const Graph> snapshot = first.base;
   // Version lineage continues; the delta is empty again.
+  EXPECT_EQ(first.version, version);
   EXPECT_EQ(idx.version(), version);
   EXPECT_EQ(idx.delta_depth(), 0);
-  EXPECT_TRUE(idx.DirtyNodes().empty());
+  ASSERT_FALSE(first.dirty.empty());
+  ExpectChangesAreDirty(*base, *snapshot, first.dirty, "first compact");
   // Maintained values carry over and still match batch on the snapshot.
   EXPECT_EQ(idx.CurrentCoreNumbers(), core_before);
   ExpectIndexMatchesSnapshot(idx, *snapshot, "post-compact");
   const auto community_after = idx.KCoreCommunity(3);
   ASSERT_TRUE(community_after.ok());
   EXPECT_EQ(*community_after, *community_before);
+  ASSERT_TRUE(idx.CheckCoreOrder().ok()) << idx.CheckCoreOrder();
+
+  // The delta was rebased in place: a second burst edits the same rows on
+  // top of the new base, and a second compaction still matches batch.
+  for (int step = 0; step < 30; ++step) {
+    const NodeId u = rng.NextInt(16);
+    const NodeId v = rng.NextInt(16);
+    if (u == v) continue;
+    (void)(rng.Bernoulli(0.5) ? idx.InsertEdge(u, v) : idx.DeleteEdge(u, v));
+  }
+  ASSERT_GT(idx.delta_depth(), 0);
+  const uint64_t version2 = idx.version();
+  const GraphDelta::Rebased second = idx.Compact();
+  const std::shared_ptr<const Graph> snapshot2 = second.base;
+  EXPECT_EQ(second.version, version2);
+  EXPECT_EQ(idx.version(), version2);
+  ExpectChangesAreDirty(*snapshot, *snapshot2, second.dirty,
+                        "second compact");
+  EXPECT_EQ(idx.delta_depth(), 0);
+  EXPECT_EQ(idx.num_edges(), snapshot2->num_edges());
+  ExpectIndexMatchesSnapshot(idx, *snapshot2, "post-second-compact");
+  ASSERT_TRUE(idx.CheckCoreOrder().ok()) << idx.CheckCoreOrder();
+}
+
+// TSan target: compactions racing with writers. Each compaction reports
+// its snapshot, version and dirty set from one writer lock, so the chain of
+// snapshots only ever changes at reported dirty nodes, the versions never
+// go back, and the last snapshot holds every edit.
+TEST(DynamicCommunityIndex, ConcurrentCompactionsReportEveryFoldedEdit) {
+  Rng rng(77);
+  const auto base = Share(RandomGraph(&rng, 24, 40));
+  const auto idx_or = DynamicCommunityIndex::Create(base);
+  ASSERT_TRUE(idx_or.ok());
+  DynamicCommunityIndex& idx = **idx_or;
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&idx, t] {
+      Rng wrng(300 + t);
+      for (int i = 0; i < 300; ++i) {
+        const NodeId u = wrng.NextInt(24);
+        const NodeId v = wrng.NextInt(24);
+        if (u == v) continue;
+        (void)(wrng.Bernoulli(0.5) ? idx.InsertEdge(u, v)
+                                   : idx.DeleteEdge(u, v));
+      }
+    });
+  }
+  std::vector<GraphDelta::Rebased> folds;
+  for (int i = 0; i < 40; ++i) folds.push_back(idx.Compact());
+  for (auto& th : writers) th.join();
+  folds.push_back(idx.Compact());
+
+  std::shared_ptr<const Graph> prev = base;
+  uint64_t prev_version = 0;
+  for (size_t i = 0; i < folds.size(); ++i) {
+    const std::string context = "fold " + std::to_string(i);
+    EXPECT_GE(folds[i].version, prev_version) << context;
+    ExpectChangesAreDirty(*prev, *folds[i].base, folds[i].dirty, context);
+    prev = folds[i].base;
+    prev_version = folds[i].version;
+  }
+  EXPECT_EQ(prev_version, idx.version());
+  EXPECT_EQ(idx.delta_depth(), 0);
+  ExpectIndexMatchesSnapshot(idx, *prev, "after concurrent compactions");
 }
 
 uint64_t RepairTimings(const char* index) {

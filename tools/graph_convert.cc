@@ -22,7 +22,7 @@
 //       the "serve straight from the file" smoke test.
 //   graph_convert apply-edits <in.cgrf> <edits.txt> <out.cgrf>
 //       Replay a text edit list ("+u v" inserts, "-u v" deletes, '#'
-//       comments) against the container through the delta overlay, then
+//       comments) against the container through a GraphDelta, then
 //       compact and save the result. Any malformed line or rejected edit
 //       (bad id, self loop, deleting an absent edge) fails the whole run
 //       with a message naming the offending line/edit; nothing is written.

@@ -58,7 +58,7 @@ run BENCH_table2_single_graph.json "$BUILD_DIR/bench_table2_single_graph" --seed
 run BENCH_table3_multi_graph.json  "$BUILD_DIR/bench_table3_multi_graph" --seed="$SEED" --threads=1 --datasets=Facebook
 run BENCH_table4_ablation.json     "$BUILD_DIR/bench_table4_ablation" --seed="$SEED" --threads=1 --datasets=Citeseer
 run BENCH_serve_throughput.json    "$BUILD_DIR/bench_serve_throughput" --seed="$SEED"
-# Dynamic tier: delta overlay + incremental index + scoped invalidation
+# Dynamic tier: graph delta + incremental index + scoped invalidation
 # (docs/ARCHITECTURE.md "Dynamic graphs"). Single-threaded serving keeps
 # the retention counts exact.
 run BENCH_dynamic_graph.json       "$BUILD_DIR/bench_dynamic_graph" --seed="$SEED" --threads=1
