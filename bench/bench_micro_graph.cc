@@ -5,7 +5,9 @@
 
 #include "bench/gbench_export.h"
 #include "common/parallel.h"
+#include "core/engine.h"
 #include "data/synthetic.h"
+#include "data/tasks.h"
 #include "graph/algorithms.h"
 #include "graph/sampling.h"
 
@@ -75,6 +77,50 @@ void BM_InducedSubgraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InducedSubgraph)->Arg(200)->Arg(2000);
+
+// The serving benchmark's graph shape: 5,000 nodes in 25 planted
+// communities, intra degree 12, inter 1.5, 3 of 16 attributes per node.
+Graph ServingShapedGraph() {
+  Rng rng(11);
+  SyntheticConfig cfg;
+  cfg.num_nodes = 5000;
+  cfg.num_communities = 25;
+  cfg.intra_degree = 12;
+  cfg.inter_degree = 1.5;
+  cfg.attribute_dim = 16;
+  cfg.attrs_per_node = 3;
+  cfg.attrs_per_community_pool = 5;
+  cfg.attr_affinity = 0.9;
+  return GenerateSyntheticGraph(cfg, &rng);
+}
+
+// One cgnp query's task: 200-node BFS sample, induced CSR, Section VII-A
+// features, zero-shot support. Cycles through 64 query nodes.
+void BM_BuildQueryTask(benchmark::State& state) {
+  const Graph g = ServingShapedGraph();
+  const int64_t attr_dim = AttributeDim(g);
+  TaskConfig tasks;
+  tasks.subgraph_size = state.range(0);
+  NodeId q = 0;
+  for (auto _ : state) {
+    auto task = BuildQueryTask(g, q, {}, tasks, attr_dim, /*seed=*/7);
+    benchmark::DoNotOptimize(task.value().graph.num_edges());
+    q = (q + 79) % 64;
+  }
+}
+BENCHMARK(BM_BuildQueryTask)->Arg(200);
+
+// Clustering coefficients of one 200-node task subgraph, the largest part
+// of the feature attach.
+void BM_LocalClusteringCoefficients(benchmark::State& state) {
+  const Graph g = ServingShapedGraph();
+  Rng rng(13);
+  const Graph sub = InducedSubgraph(g, BfsSample(g, 0, state.range(0), &rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LocalClusteringCoefficients(sub));
+  }
+}
+BENCHMARK(BM_LocalClusteringCoefficients)->Arg(200);
 
 void BM_GraphBuildThreadSweep(benchmark::State& state) {
   // CSR construction (count + scatter + per-node sort/dedup + compaction)

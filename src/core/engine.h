@@ -25,6 +25,10 @@
 
 namespace cgnp {
 
+namespace obs {
+class Histogram;
+}  // namespace obs
+
 // A community-search query materialised as a self-contained local task:
 // the BFS subgraph around the query with the Section VII-A feature matrix
 // attached, support observations remapped into local ids, and the map back
@@ -81,7 +85,9 @@ class CommunitySearchEngine {
 
   // Samples training tasks from the labelled graph and meta-trains the
   // model. Errors when `g` carries no ground-truth communities or when the
-  // task configuration cannot sample a single task from it.
+  // task configuration cannot sample a single task from it. On return the
+  // pages training freed are handed back to the OS (glibc's malloc_trim),
+  // so a process that fits and then serves does not keep them resident.
   Status Fit(const Graph& g);
 
   // Answers a community-search query on (a BFS neighborhood of) `g`.
@@ -120,6 +126,9 @@ class CommunitySearchEngine {
   std::unique_ptr<CgnpModel> model_;
   int64_t feature_dim_ = 0;
   int64_t attribute_dim_ = 0;
+  // cgnp_backend_search_ms, resolved at construction so no request pays
+  // the registry lookup.
+  obs::Histogram* search_ms_ = nullptr;
 };
 
 // Configuration validation shared by EngineBuilder::Build and tests;

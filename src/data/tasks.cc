@@ -22,9 +22,6 @@ const char* TaskRegimeName(TaskRegime r) {
   return "?";
 }
 
-namespace {
-
-// Smallest one-hot width that covers every attribute id in g.
 int64_t AttributeDim(const Graph& g) {
   if (!g.has_attributes()) return 0;
   int32_t mx = -1;
@@ -34,9 +31,7 @@ int64_t AttributeDim(const Graph& g) {
   return mx + 1;
 }
 
-}  // namespace
-
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim) {
+Graph AttachTaskFeatures(Graph sub, int64_t attribute_dim) {
   const int64_t n = sub.num_nodes();
   const int64_t dim = attribute_dim + 2;
   const std::vector<int64_t> core = CoreNumbers(sub);
@@ -55,24 +50,8 @@ Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim) {
         static_cast<float>(core[v]) / static_cast<float>(max_core);
     row[attribute_dim + 1] = static_cast<float>(lcc[v]);
   }
-
-  GraphBuilder b(n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId u : sub.Neighbors(v)) {
-      if (u > v) b.AddEdge(v, u);
-    }
-  }
-  if (sub.has_attributes()) {
-    std::vector<std::vector<int32_t>> attrs(n);
-    for (NodeId v = 0; v < n; ++v) attrs[v] = sub.Attributes(v);
-    b.SetAttributes(std::move(attrs));
-  }
-  if (sub.has_communities()) {
-    const auto comm = sub.communities();
-    b.SetCommunities({comm.begin(), comm.end()});
-  }
-  b.SetFeatures(dim, std::move(feats));
-  return b.Build();
+  sub.SetFeatures(dim, std::move(feats));
+  return sub;
 }
 
 bool SampleTask(const Graph& g, const TaskConfig& cfg,
@@ -153,7 +132,7 @@ bool SampleTask(const Graph& g, const TaskConfig& cfg,
     for (int64_t i = 0; i < num_query; ++i) {
       out->query.push_back(make_example(eligible[cfg.shots + i]));
     }
-    out->graph = AttachTaskFeatures(sub, attribute_dim);
+    out->graph = AttachTaskFeatures(std::move(sub), attribute_dim);
     return true;
   }
   return false;

@@ -62,12 +62,17 @@ struct TaskSplit {
   std::vector<CsTask> test;
 };
 
-// Rebuilds `sub` with the Section VII-A feature matrix attached. Exposed
-// for tests; task factories call it internally. The attribute one-hot block
-// has `attribute_dim` columns (0 for non-attributed datasets); two
-// structural columns (normalised core number, clustering coefficient) are
-// always appended.
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim);
+// Smallest one-hot width that covers every attribute id in g (0 when g has
+// no attributes): the `attribute_dim` the task builders need for g.
+int64_t AttributeDim(const Graph& g);
+
+// Returns `sub` with its feature matrix replaced by the Section VII-A
+// features; its CSR, attributes and labels are kept as they are. Task
+// factories and BuildQueryTask move their subgraph in. The attribute
+// one-hot block has `attribute_dim` columns (0 for non-attributed
+// datasets); two structural columns (normalised core number, clustering
+// coefficient) are always appended.
+Graph AttachTaskFeatures(Graph sub, int64_t attribute_dim);
 
 // Samples one task from `g`: BFS subgraph, queries restricted to
 // communities flagged in `allowed` (empty = all communities allowed).

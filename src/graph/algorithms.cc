@@ -87,33 +87,31 @@ std::vector<int64_t> ConnectedComponents(const Graph& g) {
 
 std::vector<int64_t> TriangleCounts(const Graph& g) {
   const int64_t n = g.num_nodes();
+  const auto rp = g.row_ptr();
+  const auto col = g.col_idx();
+  // Each triangle u < v < w is found once, from its smallest vertex: mark
+  // u's neighbours, then look up the neighbours w > v of each neighbour
+  // v > u. Rows are sorted, so those are each row's tail, from `upper`.
+  std::vector<int64_t> upper(n);
+  for (NodeId v = 0; v < n; ++v) {
+    upper[v] = std::upper_bound(col.begin() + rp[v], col.begin() + rp[v + 1],
+                                v) -
+               col.begin();
+  }
   std::vector<int64_t> tri(n, 0);
-  // For each edge (u, v) with u < v, intersect sorted neighbor lists.
+  std::vector<NodeId> mark(n, -1);
   for (NodeId u = 0; u < n; ++u) {
-    auto nu = g.Neighbors(u);
-    for (NodeId v : nu) {
-      if (v <= u) continue;
-      auto nv = g.Neighbors(v);
-      size_t i = 0, j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] < nv[j]) {
-          ++i;
-        } else if (nu[i] > nv[j]) {
-          ++j;
-        } else {
-          // Count each triangle once at its smallest vertex pair scan:
-          // here w = nu[i] forms a triangle with (u, v); attribute to all
-          // three endpoints but only when w > v to avoid double counting.
-          const NodeId w = nu[i];
-          if (w > v) {
-            ++tri[u];
-            ++tri[v];
-            ++tri[w];
-          }
-          ++i;
-          ++j;
-        }
+    for (int64_t e = rp[u]; e < rp[u + 1]; ++e) mark[col[e]] = u;
+    for (int64_t e = upper[u]; e < rp[u + 1]; ++e) {
+      const NodeId v = col[e];
+      int64_t found = 0;
+      for (int64_t f = upper[v]; f < rp[v + 1]; ++f) {
+        const int64_t closes = mark[col[f]] == u;  // no branch to mispredict
+        tri[col[f]] += closes;
+        found += closes;
       }
+      tri[u] += found;
+      tri[v] += found;
     }
   }
   return tri;

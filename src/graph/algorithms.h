@@ -30,7 +30,7 @@ CorePeel PeelCores(const Graph& g);
 std::vector<int64_t> ConnectedComponents(const Graph& g);
 
 // Local clustering coefficient per node: 2*tri(v) / (deg(v)*(deg(v)-1)),
-// and 0 for deg < 2. Uses sorted-adjacency intersection.
+// and 0 for deg < 2, from TriangleCounts.
 std::vector<double> LocalClusteringCoefficients(const Graph& g);
 
 // Number of triangles through each node.

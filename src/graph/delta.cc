@@ -91,15 +91,19 @@ std::vector<NodeId> GraphDelta::DirtyNodes() const {
 }
 
 Graph GraphDelta::Compact() const {
+  // The rows are the canonical CSR already: sorted, loop-free (edits were
+  // validated on the way in) and symmetric (each edit touches both
+  // endpoints' rows). Concatenate them.
   const int64_t n = base_->num_nodes();
-  GraphBuilder b(n);
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
-    // Ids in the rows were validated against n on the way in, so
-    // AddEdge's range invariant holds by construction.
-    for (const NodeId u : rows_[v]) {
-      if (u > v) b.AddEdge(v, u);
-    }
+    row_ptr[v + 1] = row_ptr[v] + static_cast<int64_t>(rows_[v].size());
   }
+  std::vector<NodeId> col_idx(static_cast<size_t>(row_ptr[n]));
+  for (NodeId v = 0; v < n; ++v) {
+    std::copy(rows_[v].begin(), rows_[v].end(), col_idx.begin() + row_ptr[v]);
+  }
+  GraphBuilder b(n);
   if (base_->has_features()) {
     const auto f = base_->features();
     b.SetFeatures(base_->feature_dim(), std::vector<float>(f.begin(), f.end()));
@@ -113,7 +117,7 @@ Graph GraphDelta::Compact() const {
     const auto c = base_->communities();
     b.SetCommunities(std::vector<int64_t>(c.begin(), c.end()));
   }
-  return b.Build();
+  return b.BuildFromSortedRows(std::move(row_ptr), std::move(col_idx));
 }
 
 GraphDelta::Rebased GraphDelta::Rebase() {

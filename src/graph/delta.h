@@ -11,9 +11,10 @@
 // or erases exactly one slot in each endpoint's row, advances version()
 // by exactly one and marks both endpoints dirty, so downstream caches can
 // invalidate by region (core/context_cache.h) instead of flushing.
-// Compact() feeds the rows to GraphBuilder, so the snapshot it returns is
-// bitwise identical -- row_ptr and col_idx both -- to a from-scratch build
-// of the same edge set, which is what tests/graph_delta_test.cc pins.
+// Compact() concatenates the rows into a CSR (GraphBuilder::
+// BuildFromSortedRows; no sort), so the snapshot it returns is bitwise
+// identical -- row_ptr and col_idx both -- to a from-scratch build of the
+// same edge set, which is what tests/graph_delta_test.cc pins.
 //
 // Mutation contract (all paths return Status, never abort -- this file is
 // under the cgnp-no-abort lint rule like the other user-input-reachable

@@ -10,6 +10,36 @@
 
 namespace cgnp {
 
+namespace {
+
+// BuildFromSortedRows's contract on the rows: offsets non-decreasing, each
+// row strictly ascending (so duplicate-free), in range, loop-free, and
+// every entry mirrored in its neighbour's row.
+[[maybe_unused]] bool RowsAreCanonical(const std::vector<int64_t>& row_ptr,
+                                       const std::vector<NodeId>& col_idx) {
+  const int64_t n = static_cast<int64_t>(row_ptr.size()) - 1;
+  for (NodeId v = 0; v < n; ++v) {
+    if (row_ptr[v] > row_ptr[v + 1]) return false;
+    for (int64_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
+      const NodeId u = col_idx[e];
+      if (u < 0 || u >= n || u == v) return false;
+      if (e > row_ptr[v] && col_idx[e - 1] >= u) return false;
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    for (int64_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
+      const NodeId u = col_idx[e];
+      if (!std::binary_search(col_idx.begin() + row_ptr[u],
+                              col_idx.begin() + row_ptr[u + 1], v)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Status CheckNodeId(const Graph& g, NodeId v, const char* what) {
   if (v < 0 || v >= g.num_nodes()) {
     return OutOfRangeError(std::string(what) + " node id " +
@@ -29,6 +59,14 @@ Tensor Graph::FeatureTensor() const {
   const auto f = features();
   return Tensor::FromVector({num_nodes_, feature_dim_},
                             std::vector<float>(f.begin(), f.end()));
+}
+
+void Graph::SetFeatures(int64_t dim, std::vector<float> features) {
+  CGNP_CHECK_GT(dim, 0);
+  CGNP_CHECK_EQ(static_cast<int64_t>(features.size()), num_nodes_ * dim);
+  feature_dim_ = dim;
+  features_ = std::move(features);
+  features_view_ = {};
 }
 
 const std::vector<int32_t>& Graph::Attributes(NodeId v) const {
@@ -165,7 +203,9 @@ void GraphBuilder::SetFeatures(int64_t dim, std::vector<float> features) {
 void GraphBuilder::SetAttributes(std::vector<std::vector<int32_t>> attrs) {
   CGNP_CHECK_EQ(static_cast<int64_t>(attrs.size()), num_nodes_);
   attrs_ = std::move(attrs);
-  for (auto& a : attrs_) std::sort(a.begin(), a.end());
+  for (auto& a : attrs_) {
+    if (!std::is_sorted(a.begin(), a.end())) std::sort(a.begin(), a.end());
+  }
 }
 
 void GraphBuilder::SetCommunities(std::vector<int64_t> community) {
@@ -214,23 +254,34 @@ Graph GraphBuilder::Build() {
     }
   });
 
-  Graph g;
-  g.num_nodes_ = n;
-  g.row_ptr_.assign(n + 1, 0);
-  for (int64_t i = 0; i < n; ++i) g.row_ptr_[i + 1] = g.row_ptr_[i] + uniq[i];
-  if (g.row_ptr_[n] == bucket_ptr[n]) {
+  std::vector<int64_t> row_ptr(n + 1, 0);
+  for (int64_t i = 0; i < n; ++i) row_ptr[i + 1] = row_ptr[i] + uniq[i];
+  if (row_ptr[n] == bucket_ptr[n]) {
     // No duplicates: the buckets already are the CSR.
-    g.col_idx_ = std::move(bucket);
-  } else {
-    g.col_idx_.resize(g.row_ptr_[n]);
-    ParallelFor(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi) {
-      for (int64_t v = lo; v < hi; ++v) {
-        std::copy(bucket.begin() + bucket_ptr[v],
-                  bucket.begin() + bucket_ptr[v] + uniq[v],
-                  g.col_idx_.begin() + g.row_ptr_[v]);
-      }
-    });
+    return BuildFromSortedRows(std::move(row_ptr), std::move(bucket));
   }
+  std::vector<NodeId> col_idx(row_ptr[n]);
+  ParallelFor(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi) {
+    for (int64_t v = lo; v < hi; ++v) {
+      std::copy(bucket.begin() + bucket_ptr[v],
+                bucket.begin() + bucket_ptr[v] + uniq[v],
+                col_idx.begin() + row_ptr[v]);
+    }
+  });
+  return BuildFromSortedRows(std::move(row_ptr), std::move(col_idx));
+}
+
+Graph GraphBuilder::BuildFromSortedRows(std::vector<int64_t> row_ptr,
+                                        std::vector<NodeId> col_idx) {
+  CGNP_CHECK(edges_.empty()) << " BuildFromSortedRows takes no AddEdge pairs";
+  CGNP_CHECK_EQ(static_cast<int64_t>(row_ptr.size()), num_nodes_ + 1);
+  CGNP_CHECK_EQ(row_ptr.front(), 0);
+  CGNP_CHECK_EQ(row_ptr.back(), static_cast<int64_t>(col_idx.size()));
+  assert(RowsAreCanonical(row_ptr, col_idx));
+  Graph g;
+  g.num_nodes_ = num_nodes_;
+  g.row_ptr_ = std::move(row_ptr);
+  g.col_idx_ = std::move(col_idx);
   g.feature_dim_ = feature_dim_;
   g.features_ = std::move(features_);
   g.attrs_ = std::move(attrs_);
@@ -245,15 +296,34 @@ Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
     CGNP_CHECK_EQ(map[nodes[i]], -1) << " duplicate node in InducedSubgraph";
     map[nodes[i]] = static_cast<NodeId>(i);
   }
-  GraphBuilder b(static_cast<int64_t>(nodes.size()));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId v = nodes[i];
-    for (NodeId u : g.Neighbors(v)) {
-      if (map[u] > static_cast<NodeId>(i)) {
-        b.AddEdge(static_cast<NodeId>(i), map[u]);
-      }
+  // Two passes over the parent's rows, no sort. The first keeps each
+  // sampled node's sampled neighbours, renamed to local ids, in `kept`
+  // (branch-free: every id is written, the cursor only advances past
+  // sampled ones), which sizes every row. The second walks `kept` in
+  // local-id order j and appends j to the row of each neighbour i: rows
+  // fill in ascending order, and by symmetry row i ends up holding exactly
+  // the local neighbours of i.
+  const int64_t k = static_cast<int64_t>(nodes.size());
+  int64_t parent_slots = 0;
+  for (NodeId v : nodes) parent_slots += g.Degree(v);
+  std::vector<NodeId> kept(static_cast<size_t>(parent_slots));
+  std::vector<int64_t> row_ptr(k + 1, 0);
+  int64_t pos = 0;
+  for (int64_t j = 0; j < k; ++j) {
+    for (NodeId u : g.Neighbors(nodes[j])) {
+      kept[pos] = map[u];
+      pos += map[u] >= 0;
+    }
+    row_ptr[j + 1] = pos;
+  }
+  std::vector<NodeId> col_idx(static_cast<size_t>(pos));
+  std::vector<int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (int64_t j = 0; j < k; ++j) {
+    for (int64_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
+      col_idx[cursor[kept[e]]++] = j;
     }
   }
+  GraphBuilder b(k);
   if (g.has_features()) {
     const int64_t d = g.feature_dim();
     std::vector<float> feats(nodes.size() * d);
@@ -274,7 +344,7 @@ Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
     b.SetCommunities(std::move(comm));
   }
   if (new_of_old != nullptr) *new_of_old = std::move(map);
-  return b.Build();
+  return b.BuildFromSortedRows(std::move(row_ptr), std::move(col_idx));
 }
 
 }  // namespace cgnp

@@ -13,7 +13,9 @@
 //
 // Construction goes through GraphBuilder, which deduplicates edges and
 // canonicalises the CSR ordering (sorted neighbor lists), so algorithms can
-// rely on sorted adjacency for O(deg) set intersections.
+// rely on sorted adjacency for O(deg) set intersections. Builders whose
+// rows are canonical already (induced subgraphs, delta compaction) hand
+// them over as they are through GraphBuilder::BuildFromSortedRows.
 //
 // Storage backing. A Graph is a *view over storage*: the CSR arrays (and
 // the dense feature / community arrays) are exposed as spans which are
@@ -108,8 +110,14 @@ class Graph {
   // Feature matrix as a (non-differentiable) {n, d} tensor.
   Tensor FeatureTensor() const;
   std::span<const float> features() const {
-    return mapping_ ? features_view_ : std::span<const float>(features_);
+    return features_view_.empty() ? std::span<const float>(features_)
+                                  : features_view_;
   }
+  // Replaces the feature matrix (row-major num_nodes() x dim, dim > 0).
+  // Structure, attributes, labels and the cached views are kept: none of
+  // them reads the features. A mapped graph's new features live on the
+  // heap; its CSR stays mapped.
+  void SetFeatures(int64_t dim, std::vector<float> features);
 
   // --- Discrete attributes (for ACQ / ATC) ----------------------------------
   bool has_attributes() const { return !attrs_.empty(); }
@@ -170,7 +178,8 @@ class Graph {
 
   // Mapped backing: when mapping_ is set, the *_view_ spans point into the
   // mapping and the owned vectors above stay empty (attrs_ excepted -- the
-  // ragged attribute sets are materialised on load either way). The views
+  // ragged attribute sets are materialised on load either way -- and
+  // features_ once SetFeatures empties features_view_). The views
   // reference the file's pages, not this object, so Graph copies stay
   // valid and cheap (they bump the mapping's refcount).
   std::shared_ptr<const MappedFile> mapping_;
@@ -223,6 +232,15 @@ class GraphBuilder {
   // Consumes the builder: edges, features, attributes and labels move
   // into the Graph, so call it once.
   Graph Build();
+
+  // Build() for a CSR that is canonical already, given instead of AddEdge'd
+  // pairs (there must be none): row_ptr has num_nodes() + 1 offsets from 0,
+  // every row is sorted ascending without duplicates or self loops, and
+  // the rows are symmetric (u in row v iff v in row u) -- what Build()
+  // itself emits. The arrays move into the Graph as they are: no bucketing,
+  // sort or dedup. The row invariants are checked in debug builds only.
+  Graph BuildFromSortedRows(std::vector<int64_t> row_ptr,
+                            std::vector<NodeId> col_idx);
 
  private:
   int64_t num_nodes_;

@@ -48,12 +48,15 @@ QueryServer::QueryServer(std::unique_ptr<CommunitySearcher> backend,
   metrics_.queue_depth = &reg.GetGauge("cgnp_serve_queue_depth", labels);
   // Create every worker's thread-local arena now: its first use costs
   // ~0.1 ms (x86-64 Linux), which would otherwise land in a worker's first
-  // request outside every stage span. The latch holds each warm-up task
-  // until all have started, so each runs on a distinct worker.
+  // request outside every stage span. Reserve its first block too (a
+  // zero-byte allocation), so a worker the pool has not yet handed a
+  // request does not grow the arena mid-serving. The latch holds each
+  // warm-up task until all have started, so each runs on a distinct
+  // worker.
   const auto started = std::make_shared<std::latch>(pool_.num_threads());
   for (int i = 0; i < pool_.num_threads(); ++i) {
     pool_.Submit([started] {
-      (void)Workspace::ThreadLocal();
+      (void)Workspace::ThreadLocal()->Allocate(0);
       started->arrive_and_wait();
     });
   }

@@ -99,11 +99,11 @@ struct SearchResponse {
   // denominator in ServerStats.
   bool cache_eligible = false;
   // Per-request stage-timing tree (pre-order; depth 0 = top-level stage:
-  // task_build / cache_lookup / encode / decode for the cgnp path, search
-  // for the classical backends; a registered backend gets only the spans
-  // its own Search opens). Cache hits have no "encode" stage -- the
-  // paper's Algorithm 2 asymmetry, visible per response. Empty when the
-  // obs layer is disabled (compile-time CGNP_OBS=OFF or runtime
+  // task_build / cache_lookup / encode / decode / task_release for the
+  // cgnp path, search for the classical backends; a registered backend
+  // gets only the spans its own Search opens). Cache hits have no "encode"
+  // stage -- the paper's Algorithm 2 asymmetry, visible per response. Empty
+  // when the obs layer is disabled (compile-time CGNP_OBS=OFF or runtime
   // obs::SetEnabled).
   std::vector<obs::StageTiming> stages;
 };

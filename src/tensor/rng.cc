@@ -63,11 +63,16 @@ float Rng::Normal() {
 
 int64_t Rng::NextInt(int64_t n) {
   CGNP_CHECK_GT(n, 0);
-  // Rejection sampling to avoid modulo bias.
+  // Rejection sampling to avoid modulo bias: draws at or above
+  // limit = UINT64_MAX - UINT64_MAX % n are redrawn. limit > 2^64 - 1 - n,
+  // so only a draw in the top n values can be rejected, and only then is
+  // the 64-bit modulo for limit worth paying. Same draws either way.
   const uint64_t un = static_cast<uint64_t>(n);
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % un;
   uint64_t v = NextU64();
-  while (v >= limit) v = NextU64();
+  if (v >= 0 - un) {
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % un;
+    while (v >= limit) v = NextU64();
+  }
   return static_cast<int64_t>(v % un);
 }
 

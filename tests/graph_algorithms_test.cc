@@ -4,6 +4,7 @@
 
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "tests/task_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -99,6 +100,22 @@ TEST(LocalClusteringCoefficients, BoundsAndKnownValues) {
   EXPECT_DOUBLE_EQ(lcc[0], 1.0);
   // Node 3: neighbors {0,1,2,4}; edges among them: 3 (the K4 triangle) of 6.
   EXPECT_DOUBLE_EQ(lcc[3], 0.5);
+}
+
+TEST(LocalClusteringCoefficients, MatchesSortedMergeReference) {
+  // The mark-array triangle count against the sorted-row merge: equal
+  // counts, so bitwise-equal coefficients.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    testing::RandomGraphSpec spec;
+    spec.n = 120;
+    spec.edges = 150 * static_cast<int64_t>(seed);
+    spec.isolated_from = 115;
+    const Graph g = testing::RandomGraph(spec, seed);
+    EXPECT_EQ(TriangleCounts(g), oracle::TriangleCounts(g)) << seed;
+    EXPECT_EQ(LocalClusteringCoefficients(g),
+              oracle::LocalClusteringCoefficients(g))
+        << seed;
+  }
 }
 
 TEST(EdgeList, MapsBothCsrDirections) {

@@ -248,6 +248,23 @@ TEST(GraphFormatRoundTrip, MappedGraphSurvivesCopiesAndSourceScopeExit) {
   std::remove(path.c_str());
 }
 
+TEST(GraphFormatRoundTrip, TaskFeaturesAttachToAMappedGraph) {
+  // The new feature matrix goes to the heap; the CSR stays in the mapping,
+  // and the result equals the same attach on the in-memory original.
+  const std::string path = TempPath("attach.cgrf");
+  const Graph g = RichGraph();
+  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+  const Graph mapped = MapGraphBinary(path).value();
+  const Graph featured = AttachTaskFeatures(mapped, 16);
+  EXPECT_EQ(featured.backing(), GraphBacking::kMapped);
+  EXPECT_EQ(featured.col_idx().data(), mapped.col_idx().data());
+  EXPECT_EQ(featured.feature_dim(), 18);
+  ExpectGraphsBitwiseEqual(featured, AttachTaskFeatures(g, 16),
+                           "mapped attach");
+  ExpectGraphsBitwiseEqual(mapped, g, "source left as it was");
+  std::remove(path.c_str());
+}
+
 TEST(GraphFormatRoundTrip, FingerprintIsContentIdentity) {
   const std::string a = TempPath("fp_a.cgrf");
   const std::string b = TempPath("fp_b.cgrf");

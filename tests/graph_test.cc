@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gtest/gtest.h"
+#include "tests/task_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -155,6 +156,67 @@ TEST(InducedSubgraph, WholeGraphIsIdentity) {
   Graph sub = InducedSubgraph(g, all);
   EXPECT_EQ(sub.num_nodes(), g.num_nodes());
   EXPECT_EQ(sub.num_edges(), g.num_edges());
+}
+
+// The direct CSR build against GraphBuilder: random node subsets in random
+// order (the whole graph, empty and singleton sets included) of graphs
+// with each optional part on and off.
+TEST(InducedSubgraph, MatchesGraphBuilderReference) {
+  for (int mask = 0; mask < 8; ++mask) {
+    testing::RandomGraphSpec spec;
+    spec.n = 180;
+    spec.edges = mask < 4 ? 900 : 150;
+    spec.isolated_from = 170;
+    spec.features = mask & 1;
+    spec.attributes = mask & 2;
+    spec.communities = mask & 4;
+    const Graph g = testing::RandomGraph(spec, 40 + mask);
+    Rng rng(mask);
+    std::vector<NodeId> all(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{2}, int64_t{37},
+                      int64_t{120}, g.num_nodes()}) {
+      const std::vector<NodeId> nodes = rng.SampleWithoutReplacement(all, k);
+      std::vector<NodeId> got_map, want_map;
+      const std::string tag =
+          "mask " + std::to_string(mask) + " k " + std::to_string(k);
+      testing::ExpectSameGraph(InducedSubgraph(g, nodes, &got_map),
+                               oracle::InducedSubgraph(g, nodes, &want_map),
+                               tag);
+      EXPECT_EQ(got_map, want_map) << tag;
+    }
+  }
+}
+
+TEST(GraphBuilder, BuildFromSortedRowsTakesTheRowsAsGiven) {
+  // Path 0-1-2 plus an isolated node 3.
+  GraphBuilder b(4);
+  b.SetCommunities({0, 0, 1, 1});
+  b.SetFeatures(1, {1, 2, 3, 4});
+  const Graph g = b.BuildFromSortedRows({0, 1, 3, 4, 4}, {1, 0, 2, 1});
+  const Graph want = testing::PathGraph(3);
+  EXPECT_EQ(g.num_nodes(), 4);
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_TRUE(std::ranges::equal(g.row_ptr(),
+                                 std::vector<int64_t>{0, 1, 3, 4, 4}));
+  EXPECT_TRUE(std::ranges::equal(g.col_idx(), want.col_idx()));
+  EXPECT_EQ(g.CommunityOf(3), 1);
+  EXPECT_FLOAT_EQ(g.features()[2], 3);
+  EXPECT_EQ(GraphBuilder(0).BuildFromSortedRows({0}, {}).num_nodes(), 0);
+}
+
+TEST(Graph, SetFeaturesReplacesOnlyTheFeatures) {
+  Graph g = testing::TwoCliqueGraph();
+  const auto& gcn = g.GcnAdjacency();  // a cached view must survive
+  const int64_t gcn_nnz = gcn.nnz();
+  std::vector<float> feats(g.num_nodes() * 3);
+  for (size_t i = 0; i < feats.size(); ++i) feats[i] = float(i);
+  g.SetFeatures(3, feats);
+  EXPECT_EQ(g.feature_dim(), 3);
+  EXPECT_TRUE(std::ranges::equal(g.features(), feats));
+  EXPECT_EQ(g.num_edges(), testing::TwoCliqueGraph().num_edges());
+  EXPECT_EQ(g.CommunityOf(7), 1);
+  EXPECT_EQ(g.GcnAdjacency().nnz(), gcn_nnz);
 }
 
 }  // namespace

@@ -100,5 +100,41 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_EQ(same, 0);
 }
 
+// NextInt against the textbook rejection formula, which takes the limit
+// on every draw: same values, same number of raw draws. The large bounds
+// put up to a third of the 64-bit range above the limit, so the redraw
+// loop runs; the test checks that it did.
+TEST(Rng, NextIntMatchesReferenceRejection) {
+  const int64_t bounds[] = {1,
+                            2,
+                            3,
+                            7,
+                            200,
+                            1000003,
+                            (int64_t{1} << 32) + 1,
+                            (int64_t{1} << 62) + 1,
+                            int64_t{3} << 61,
+                            int64_t{6148914691236517207},  // ~2^64 / 3
+                            INT64_MAX - 1,
+                            INT64_MAX};
+  int64_t redraws = 0;
+  for (const int64_t n : bounds) {
+    Rng got(n), want(n);
+    for (int i = 0; i < 4000; ++i) {
+      const uint64_t un = static_cast<uint64_t>(n);
+      const uint64_t limit = UINT64_MAX - UINT64_MAX % un;
+      uint64_t v = want.NextU64();
+      while (v >= limit) {
+        ++redraws;
+        v = want.NextU64();
+      }
+      ASSERT_EQ(got.NextInt(n), static_cast<int64_t>(v % un))
+          << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(got.NextU64(), want.NextU64()) << "n " << n;
+  }
+  EXPECT_GT(redraws, 1000);
+}
+
 }  // namespace
 }  // namespace cgnp

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <set>
 
+#include "core/engine.h"
 #include "data/profiles.h"
 #include "data/synthetic.h"
+#include "graph/sampling.h"
 #include "gtest/gtest.h"
+#include "tests/task_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -200,6 +203,143 @@ TEST(AttachTaskFeatures, NonAttributedGraphGetsStructuralOnly) {
   EXPECT_EQ(feat.feature_dim(), 2);
   EXPECT_EQ(feat.num_nodes(), g.num_nodes());
   EXPECT_EQ(feat.num_edges(), g.num_edges());
+}
+
+// --- Differential: the one-pass task build against the reference --------
+
+// Random graphs covering each optional part on and off, and disconnected
+// enough that BFS samples exhaust a component before the budget.
+std::vector<testing::RandomGraphSpec> DifferentialSpecs() {
+  std::vector<testing::RandomGraphSpec> specs;
+  for (int mask = 0; mask < 8; ++mask) {
+    testing::RandomGraphSpec spec;
+    spec.n = 260;
+    spec.edges = mask % 2 == 0 ? 1100 : 180;  // dense, or many components
+    spec.isolated_from = 250;
+    spec.features = mask & 1;
+    spec.attributes = mask & 2;
+    spec.communities = mask & 4;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+TEST(AttachTaskFeatures, MatchesRebuildingReference) {
+  uint64_t seed = 0;
+  for (const auto& spec : DifferentialSpecs()) {
+    const Graph g = testing::RandomGraph(spec, ++seed);
+    const int64_t attr_dim = AttributeDim(g);
+    Rng rng(seed);
+    for (int64_t size :
+         {int64_t{1}, int64_t{40}, int64_t{200}, g.num_nodes()}) {
+      const NodeId q = rng.NextInt(g.num_nodes());
+      const Graph sub = InducedSubgraph(g, BfsSample(g, q, size, &rng));
+      testing::ExpectSameGraph(AttachTaskFeatures(sub, attr_dim),
+                               oracle::AttachTaskFeatures(sub, attr_dim),
+                               "spec " + std::to_string(seed) + " size " +
+                                   std::to_string(size));
+    }
+    // The whole graph, isolated nodes included.
+    testing::ExpectSameGraph(AttachTaskFeatures(g, attr_dim),
+                             oracle::AttachTaskFeatures(g, attr_dim),
+                             "whole graph " + std::to_string(seed));
+  }
+}
+
+TEST(BuildQueryTask, MatchesReferenceIncludingSupportRemap) {
+  uint64_t gseed = 0;
+  for (const auto& spec : DifferentialSpecs()) {
+    const Graph g = testing::RandomGraph(spec, 100 + ++gseed);
+    const int64_t attr_dim = AttributeDim(g);
+    Rng rng(gseed);
+    for (int64_t size : {int64_t{1}, int64_t{25}, int64_t{200},
+                         g.num_nodes() + 3}) {
+      TaskConfig tasks;
+      tasks.subgraph_size = size;
+      for (int trial = 0; trial < 6; ++trial) {
+        // Trial 0 queries an isolated node.
+        const NodeId q = trial == 0 ? g.num_nodes() - 1
+                                    : rng.NextInt(g.num_nodes());
+        std::vector<QueryExample> labelled;
+        for (int k = 0; k < trial % 3; ++k) {
+          QueryExample ex;
+          ex.query = k == 0 ? q : rng.NextInt(g.num_nodes());
+          for (int i = 0; i < 5; ++i) {
+            ex.pos.push_back(rng.NextInt(g.num_nodes()));
+            ex.neg.push_back(rng.NextInt(g.num_nodes()));
+          }
+          labelled.push_back(std::move(ex));
+        }
+        const uint64_t seed = rng.NextU64();
+        const std::string tag = "graph " + std::to_string(gseed) + " size " +
+                                std::to_string(size) + " query " +
+                                std::to_string(q);
+        const LocalQueryTask got =
+            BuildQueryTask(g, q, labelled, tasks, attr_dim, seed).value();
+        const LocalQueryTask want =
+            oracle::BuildQueryTask(g, q, labelled, tasks, attr_dim, seed);
+        EXPECT_EQ(got.nodes, want.nodes) << tag;
+        EXPECT_EQ(got.query, want.query) << tag;
+        ASSERT_EQ(got.support.size(), want.support.size()) << tag;
+        for (size_t i = 0; i < got.support.size(); ++i) {
+          testing::ExpectSameExample(got.support[i], want.support[i], tag);
+        }
+        testing::ExpectSameGraph(got.graph, want.graph, tag);
+      }
+    }
+  }
+}
+
+// SampleTask draws its seeds, samples and pos/neg sets from one rng, so a
+// sequence of tasks only matches the reference if every BFS left the rng
+// exactly where the reference left it.
+TEST(SampleTask, SequenceMatchesReference) {
+  const Graph planted = SmallPlanted(11);
+  testing::RandomGraphSpec spec;
+  spec.n = 400;
+  spec.edges = 700;  // small components: some attempts fail and retry
+  spec.isolated_from = 380;
+  spec.attributes = true;
+  spec.communities = true;
+  const Graph sparse = testing::RandomGraph(spec, 12);
+  for (const Graph* g : {&planted, &sparse}) {
+    TaskConfig cfg;
+    cfg.subgraph_size = g == &planted ? 200 : 60;
+    cfg.shots = 2;
+    cfg.query_set_size = 8;
+    const int64_t attr_dim = AttributeDim(*g);
+    std::vector<char> allowed(g->num_communities(), 1);
+    allowed[0] = 0;
+    Rng a(21), b(21);
+    for (int i = 0; i < 30; ++i) {
+      const std::vector<char>& allow =
+          i % 2 == 0 ? allowed : std::vector<char>{};
+      CsTask got, want;
+      const bool got_ok = SampleTask(*g, cfg, allow, attr_dim, &a, &got);
+      ASSERT_EQ(got_ok, oracle::SampleTask(*g, cfg, allow, attr_dim, &b, &want))
+          << "task " << i;
+      if (!got_ok) continue;
+      const std::string tag = "task " + std::to_string(i);
+      testing::ExpectSameGraph(got.graph, want.graph, tag);
+      ASSERT_EQ(got.support.size(), want.support.size()) << tag;
+      for (size_t k = 0; k < got.support.size(); ++k) {
+        testing::ExpectSameExample(got.support[k], want.support[k], tag);
+      }
+      ASSERT_EQ(got.query.size(), want.query.size()) << tag;
+      for (size_t k = 0; k < got.query.size(); ++k) {
+        testing::ExpectSameExample(got.query[k], want.query[k], tag);
+      }
+    }
+    EXPECT_EQ(a.NextU64(), b.NextU64());
+  }
+}
+
+TEST(AttributeDim, CoversTheLargestId) {
+  EXPECT_EQ(AttributeDim(testing::TwoCliqueGraph()), 0);
+  GraphBuilder b(3);
+  b.SetAttributes({{4, 1}, {}, {9}});
+  EXPECT_EQ(AttributeDim(b.Build()), 10);
+  EXPECT_EQ(AttributeDim(SmallPlanted()), 24);
 }
 
 }  // namespace
