@@ -16,14 +16,24 @@ namespace {
 
 constexpr NodeId kNone = -1;  // no node: end of a level list
 
-// Intersection of two sorted rows: the common neighbors of an edge's
-// endpoints, i.e. the third corners of its triangles.
-std::vector<NodeId> CommonNeighbors(const std::vector<NodeId>& a,
-                                    const std::vector<NodeId>& b) {
-  std::vector<NodeId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
+// The triangles through edge (a, b), by one merge of the two sorted rows:
+// fn(c, i, j) for each common neighbour c, at slot i of adj[a] and slot j
+// of adj[b].
+template <typename Fn>
+void ForEachTriangle(const SortedAdjacency& adj, NodeId a, NodeId b, Fn fn) {
+  const std::vector<NodeId>& ra = adj[a];
+  const std::vector<NodeId>& rb = adj[b];
+  for (size_t i = 0, j = 0; i < ra.size() && j < rb.size();) {
+    if (ra[i] < rb[j]) {
+      ++i;
+    } else if (rb[j] < ra[i]) {
+      ++j;
+    } else {
+      fn(ra[i], i, j);
+      ++i;
+      ++j;
+    }
+  }
 }
 
 }  // namespace
@@ -304,20 +314,9 @@ Status IncrementalCoreIndex::CheckOrder(const SortedAdjacency& adj) const {
 
 // --- IncrementalTrussIndex --------------------------------------------------
 
-uint64_t IncrementalTrussIndex::EdgeKey(NodeId u, NodeId v) {
-  // Precondition (checked by DynamicCommunityIndex::Create): ids < 2^32.
-  const uint64_t a = static_cast<uint64_t>(std::min(u, v));
-  const uint64_t b = static_cast<uint64_t>(std::max(u, v));
-  return (a << 32) | b;
-}
-
-std::pair<NodeId, NodeId> IncrementalTrussIndex::KeyEdge(uint64_t key) {
-  return {static_cast<NodeId>(key >> 32),
-          static_cast<NodeId>(key & 0xFFFFFFFFu)};
-}
-
 IncrementalTrussIndex::IncrementalTrussIndex(const Graph& base)
-    : truss_(static_cast<size_t>(base.num_nodes())) {
+    : truss_(static_cast<size_t>(base.num_nodes())),
+      mark_(static_cast<size_t>(base.num_nodes())) {
   // The decomposition is per CSR slot, and adjacency rows start as the CSR
   // rows: copy row by row.
   const std::vector<int32_t>& truss = base.Trusses().truss;
@@ -325,19 +324,21 @@ IncrementalTrussIndex::IncrementalTrussIndex(const Graph& base)
   for (NodeId u = 0; u < base.num_nodes(); ++u) {
     truss_[u].assign(truss.begin() + row_ptr[u],
                      truss.begin() + row_ptr[u + 1]);
+    mark_[u].assign(truss_[u].size(), 0);
   }
 }
 
 int64_t IncrementalTrussIndex::SlotOf(const SortedAdjacency& adj, NodeId u,
                                       NodeId v) {
-  const auto it = std::lower_bound(adj[u].begin(), adj[u].end(), v);
-  return it != adj[u].end() && *it == v ? it - adj[u].begin() : -1;
+  return std::lower_bound(adj[u].begin(), adj[u].end(), v) - adj[u].begin();
 }
 
 int64_t IncrementalTrussIndex::TrussOf(const SortedAdjacency& adj, NodeId u,
                                        NodeId v) const {
   const int64_t slot = SlotOf(adj, u, v);
-  return slot < 0 ? 0 : truss_[u][slot];
+  return slot < static_cast<int64_t>(adj[u].size()) && adj[u][slot] == v
+             ? truss_[u][slot]
+             : 0;
 }
 
 void IncrementalTrussIndex::Set(const SortedAdjacency& adj, NodeId u, NodeId v,
@@ -347,146 +348,121 @@ void IncrementalTrussIndex::Set(const SortedAdjacency& adj, NodeId u, NodeId v,
 }
 
 int64_t IncrementalTrussIndex::SupportedLevel(const SortedAdjacency& adj,
-                                              NodeId a, NodeId b,
-                                              int64_t cap) const {
-  // Triangle levels through (a, b): each triangle supports the edge up to
-  // the weaker of its two other edges. Sorted descending, the top i+1
-  // triangles prove level min(levels[i], i+3) -- a level k needs k-2 of
-  // them, so k <= i+3, and each must carry >= k.
-  std::vector<int64_t> levels;
-  for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
-    levels.push_back(std::min(TrussOf(adj, a, c), TrussOf(adj, b, c)));
-  }
-  std::sort(levels.begin(), levels.end(), std::greater<int64_t>());
+                                              NodeId a, NodeId b, int64_t cap,
+                                              int64_t lift) {
+  // Each triangle through (a, b) supports the edge up to the weaker of its
+  // two other edges. Sorted descending, the top i+1 triangles prove level
+  // min(levels[i], i+3): a level k needs k-2 of them, each carrying >= k.
+  levels_.clear();
+  ForEachTriangle(adj, a, b, [&](NodeId, size_t ia, size_t ib) {
+    levels_.push_back(std::min(truss_[a][ia], truss_[b][ib]) + lift);
+  });
+  std::sort(levels_.begin(), levels_.end(), std::greater<int64_t>());
   int64_t best = 2;
-  for (size_t i = 0; i < levels.size(); ++i) {
-    const int64_t k =
-        std::min(levels[i], static_cast<int64_t>(i) + 3);
-    best = std::max(best, std::min(k, cap));
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    best = std::max(
+        best, std::min({levels_[i], static_cast<int64_t>(i) + 3, cap}));
   }
   return best;
 }
 
-void IncrementalTrussIndex::DownwardFixpoint(
-    const SortedAdjacency& adj, std::deque<std::pair<NodeId, NodeId>>* work,
-    const std::unordered_map<uint64_t, int64_t>* floor) {
+void IncrementalTrussIndex::Consider(const SortedAdjacency& adj, NodeId a,
+                                     size_t ia, NodeId c, int64_t kub) {
+  if (truss_[a][ia] >= kub || mark_[a][ia] != 0) return;
+  mark_[a][ia] = 1;
+  mark_[c][SlotOf(adj, c, a)] = 1;
+  work_.emplace_back(a, c);
+}
+
+void IncrementalTrussIndex::DownwardFixpoint(const SortedAdjacency& adj) {
   // Chaotic iteration from an upper bound: re-prove each queued edge's
   // level; on a drop, requeue the partner edges that counted it. Values
-  // only move down (to >= 2, or >= their floor), so this terminates, and
-  // starting from a valid upper bound it converges to the greatest
+  // only move down, and never below the true truss numbers: while every
+  // value bounds them from above, each edge keeps at least the support
+  // the true numbers give it. So this terminates at the greatest
   // consistent assignment -- the true truss numbers.
-  while (!work->empty()) {
-    const auto [a, b] = work->front();
-    work->pop_front();
+  for (size_t i = 0; i < work_.size(); ++i) {
+    const NodeId a = work_[i].first;
+    const NodeId b = work_[i].second;
     const int64_t k = TrussOf(adj, a, b);
-    if (k <= 2) continue;  // floor of every edge, or no longer present
-    int64_t knew = SupportedLevel(adj, a, b, k);
-    if (floor != nullptr) {
-      const auto f = floor->find(EdgeKey(a, b));
-      if (f != floor->end()) knew = std::max(knew, f->second);
-    }
+    if (k <= 2) continue;  // floor of every edge
+    const int64_t knew = SupportedLevel(adj, a, b, k, /*lift=*/0);
     if (knew >= k) continue;
     Set(adj, a, b, knew);
-    for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
-      const std::pair<NodeId, NodeId> partners[2] = {{a, c}, {b, c}};
-      for (const auto& [x, y] : partners) {
-        // The partner counted this triangle iff its own level fits under
-        // both other edges; it loses support exactly when its level lies
-        // in (knew, k].
-        const int64_t t = TrussOf(adj, x, y);
-        if (t <= knew || t > k) continue;
-        // Insertion mode repairs only the inflated candidates; everything
-        // else is already consistent.
-        if (floor != nullptr && floor->count(EdgeKey(x, y)) == 0) continue;
-        work->emplace_back(x, y);
-      }
-    }
+    // A partner counted this triangle only if its own level fits under
+    // both other edges; it may lose support when its level lies in
+    // (knew, k].
+    ForEachTriangle(adj, a, b, [&](NodeId c, size_t ia, size_t ib) {
+      if (truss_[a][ia] > knew && truss_[a][ia] <= k) work_.emplace_back(a, c);
+      if (truss_[b][ib] > knew && truss_[b][ib] <= k) work_.emplace_back(b, c);
+    });
   }
+  work_.clear();
 }
 
 void IncrementalTrussIndex::OnDelete(const SortedAdjacency& adj, NodeId u,
                                      NodeId v) {
-  // The rows lose the slot the edge held, where lower_bound now points.
+  // The rows lose the slot the edge held, where SlotOf now points.
   for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-    truss_[a].erase(truss_[a].begin() +
-                    (std::lower_bound(adj[a].begin(), adj[a].end(), b) -
-                     adj[a].begin()));
+    const int64_t slot = SlotOf(adj, a, b);
+    truss_[a].erase(truss_[a].begin() + slot);
+    mark_[a].erase(mark_[a].begin() + slot);
   }
   // Every partner edge of a vanished triangle may have lost support; the
-  // old values are still a valid upper bound (deletion never raises a
-  // truss number), so the downward fixpoint repairs from them.
-  std::deque<std::pair<NodeId, NodeId>> work;
-  for (const NodeId w : CommonNeighbors(adj[u], adj[v])) {
-    work.emplace_back(u, w);
-    work.emplace_back(v, w);
-  }
-  DownwardFixpoint(adj, &work, nullptr);
+  // old values are still an upper bound (deletion never raises a truss
+  // number), so the downward fixpoint repairs from them.
+  ForEachTriangle(adj, u, v, [&](NodeId w, size_t, size_t) {
+    work_.emplace_back(u, w);
+    work_.emplace_back(v, w);
+  });
+  DownwardFixpoint(adj);
 }
 
 void IncrementalTrussIndex::OnInsert(const SortedAdjacency& adj, NodeId u,
                                      NodeId v) {
-  // The rows gain a slot where the adjacency gained the edge. It reads 0,
-  // like an absent edge, until the repair below sets it.
+  // The rows gain a slot where the adjacency gained the edge. It reads 0
+  // until the repair below sets it.
   for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-    truss_[a].insert(truss_[a].begin() + SlotOf(adj, a, b), 0);
+    const int64_t slot = SlotOf(adj, a, b);
+    truss_[a].insert(truss_[a].begin() + slot, 0);
+    mark_[a].insert(mark_[a].begin() + slot, 0);
   }
-  const std::vector<NodeId> common = CommonNeighbors(adj[u], adj[v]);
-  if (common.empty()) {
-    Set(adj, u, v, 2);  // no triangle, nothing else can move
-    return;
-  }
-  // Ceiling for the new edge: existing partner levels may themselves rise
-  // by one, so rank min-partner-level + 1 values descending.
-  std::vector<int64_t> lv;
-  lv.reserve(common.size());
-  for (const NodeId w : common) {
-    lv.push_back(std::min(TrussOf(adj, u, w), TrussOf(adj, v, w)) + 1);
-  }
-  std::sort(lv.begin(), lv.end(), std::greater<int64_t>());
-  int64_t kub = 2;
-  for (size_t i = 0; i < lv.size(); ++i) {
-    kub = std::max(kub, std::min(lv[i], static_cast<int64_t>(i) + 3));
-  }
+  // Insertion raises an existing truss number by at most one, so the new
+  // edge's ceiling kub counts every partner one level up.
+  const int64_t kub = SupportedLevel(
+      adj, u, v, std::numeric_limits<int64_t>::max(), /*lift=*/1);
   // Candidate edges: for each level k < kub, the k-class edges reachable
   // from the new edge's triangles through triangles whose other two edges
   // both carry >= k (PES-style triangle connectivity). Only these can
-  // rise, and by at most one. `floor` records each candidate's pre-insert
-  // value -- insertion never lowers an existing truss number.
-  std::unordered_map<uint64_t, int64_t> floor;
-  std::deque<std::pair<NodeId, NodeId>> bfs;
-  const auto consider = [&](NodeId a, NodeId b) {
-    const int64_t t = TrussOf(adj, a, b);
-    if (t >= kub) return;
-    if (floor.emplace(EdgeKey(a, b), t).second) bfs.emplace_back(a, b);
-  };
-  for (const NodeId w : common) {
-    consider(u, w);
-    consider(v, w);
-  }
-  while (!bfs.empty()) {
-    const auto [a, b] = bfs.front();
-    bfs.pop_front();
+  // rise. work_ is the BFS queue; the marks keep each candidate in it once.
+  ForEachTriangle(adj, u, v, [&](NodeId w, size_t iu, size_t iv) {
+    Consider(adj, u, iu, w, kub);
+    Consider(adj, v, iv, w, kub);
+  });
+  for (size_t i = 0; i < work_.size(); ++i) {
+    const NodeId a = work_[i].first;
+    const NodeId b = work_[i].second;
     const int64_t k = TrussOf(adj, a, b);
-    for (const NodeId c : CommonNeighbors(adj[a], adj[b])) {
-      const int64_t t1 = TrussOf(adj, a, c);
-      const int64_t t2 = TrussOf(adj, b, c);
-      if (std::min(t1, t2) < k) continue;  // triangle too weak at level k
-      if (t1 == k) consider(a, c);
-      if (t2 == k) consider(b, c);
-    }
+    ForEachTriangle(adj, a, b, [&](NodeId c, size_t ia, size_t ib) {
+      const int64_t t1 = truss_[a][ia];
+      const int64_t t2 = truss_[b][ib];
+      if (std::min(t1, t2) < k) return;  // triangle too weak at level k
+      if (t1 == k) Consider(adj, a, ia, c, kub);
+      if (t2 == k) Consider(adj, b, ib, c, kub);
+    });
   }
-  // Optimistic lift: candidates up one, the new edge to its ceiling; then
-  // the floored downward fixpoint settles everything that over-reached.
-  std::deque<std::pair<NodeId, NodeId>> work;
-  for (const auto& [key, old] : floor) {
-    const auto [a, b] = KeyEdge(key);
-    Set(adj, a, b, old + 1);
-    work.emplace_back(a, b);
+  // Optimistic lift to an upper bound -- candidates up one, the new edge to
+  // its ceiling -- from which the downward fixpoint settles everything.
+  for (const auto& [a, b] : work_) {
+    const int64_t ia = SlotOf(adj, a, b);
+    const int64_t ib = SlotOf(adj, b, a);
+    ++truss_[a][ia];
+    ++truss_[b][ib];
+    mark_[a][ia] = mark_[b][ib] = 0;
   }
   Set(adj, u, v, kub);
-  floor.emplace(EdgeKey(u, v), 2);
-  work.emplace_back(u, v);
-  DownwardFixpoint(adj, &work, &floor);
+  work_.emplace_back(u, v);
+  DownwardFixpoint(adj);
 }
 
 // --- DynamicCommunityIndex --------------------------------------------------
@@ -496,12 +472,6 @@ StatusOr<std::shared_ptr<DynamicCommunityIndex>> DynamicCommunityIndex::Create(
   if (base == nullptr) {
     return InvalidArgumentError(
         "DynamicCommunityIndex needs a base snapshot (got null)");
-  }
-  if (base->num_nodes() > (int64_t{1} << 32)) {
-    return InvalidArgumentError(
-        "DynamicCommunityIndex packs two node ids per edge key: graphs "
-        "above 2^32 nodes are unsupported (got " +
-        std::to_string(base->num_nodes()) + ")");
   }
   return std::shared_ptr<DynamicCommunityIndex>(
       new DynamicCommunityIndex(std::move(base)));
@@ -579,16 +549,15 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KCoreCommunity(
   // exactly what ConnectedKCoreContaining produces.
   const int64_t n = static_cast<int64_t>(adj.size());
   std::vector<char> seen(n, 0);
-  std::deque<NodeId> queue;
+  std::vector<NodeId> stack{q};
   seen[q] = 1;
-  queue.push_back(q);
-  while (!queue.empty()) {
-    const NodeId w = queue.front();
-    queue.pop_front();
+  while (!stack.empty()) {
+    const NodeId w = stack.back();
+    stack.pop_back();
     for (const NodeId x : adj[w]) {
       if (core[x] >= k && !seen[x]) {
         seen[x] = 1;
-        queue.push_back(x);
+        stack.push_back(x);
       }
     }
   }
@@ -618,15 +587,11 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
   // adjacency gives the same push order as the CSR).
   const int64_t n = static_cast<int64_t>(adj.size());
   std::vector<char> seen(n, 0);
-  std::deque<NodeId> queue;
-  std::vector<NodeId> out;
+  std::vector<NodeId> out{q};  // doubles as the BFS queue
   seen[q] = 1;
-  queue.push_back(q);
   bool q_has_edge = false;
-  while (!queue.empty()) {
-    const NodeId w = queue.front();
-    queue.pop_front();
-    out.push_back(w);
+  for (size_t head = 0; head < out.size(); ++head) {
+    const NodeId w = out[head];
     const std::vector<int32_t>& truss = truss_.row(w);
     for (size_t i = 0; i < adj[w].size(); ++i) {
       if (truss[i] < k) continue;
@@ -634,7 +599,7 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
       if (w == q) q_has_edge = true;
       if (!seen[x]) {
         seen[x] = 1;
-        queue.push_back(x);
+        out.push_back(x);
       }
     }
   }

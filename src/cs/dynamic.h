@@ -20,19 +20,25 @@
 //     changes, not the size of the K-class.
 //   * k-truss: greatest-fixpoint repair. Truss numbers are the greatest
 //     assignment T with every edge f = (a, b) supported by >= T(f)-2
-//     triangles whose other two edges carry >= T(f). Deletion starts from
-//     a (still-valid) upper bound and chaotically re-proves affected
-//     edges downward until consistent. Insertion raises any edge by at
-//     most one: candidate edges -- the level-k triangle-connected classes
-//     seeded from the new edge's triangles, for k below the new edge's
-//     ceiling -- are optimistically lifted one level and the same
-//     downward fixpoint (floored at the pre-insert values) settles them.
+//     triangles whose other two edges carry >= T(f). From any upper bound,
+//     re-proving edges downward until consistent lands on exactly them,
+//     and one such routine serves both edits. Deletion keeps the old
+//     values as the bound and queues the partners of the vanished
+//     triangles. Insertion raises an edge by at most one, and only a
+//     candidate edge -- in a level-k triangle-connected class seeded from
+//     the new edge's triangles, for k below the new edge's ceiling kub --
+//     can rise: the candidates go up one, the new edge to kub, and the
+//     same routine settles them. Triangles come from one merge of the two
+//     sorted rows, which also yields both partner slots.
 //
 // Both indices are asserted node-for-node / edge-for-edge identical to
 // the batch algorithms (graph/algorithms.h) over randomized edit
 // sequences in tests/incremental_cs_test.cc -- core numbers and the
-// k-order invariants after every edit -- the acceptance contract of this
-// file.
+// k-order invariants after every edit, truss numbers at checkpoints of
+// the mixed streams and after every clique edit -- the acceptance
+// contract of this file. Both keep their per-edit scratch as members, so
+// a warm edit -- one whose rows and scratch earlier edits already grew --
+// allocates nothing.
 //
 // DynamicCommunityIndex bundles a GraphDelta, whose sorted rows both
 // indices and both community BFSes read, and both indices behind one
@@ -45,10 +51,8 @@
 #define CGNP_CS_DYNAMIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -117,9 +121,7 @@ class IncrementalCoreIndex {
 // Truss numbers under maintenance, one per adjacency slot (both directions
 // of an edge carry the same value), seeded from the base graph's cached
 // decomposition (Graph::Trusses). Same call contract as
-// IncrementalCoreIndex. Node ids must fit in 32 bits (the insertion repair
-// keys edges by packing both endpoints into one uint64);
-// DynamicCommunityIndex::Create rejects larger graphs up front.
+// IncrementalCoreIndex, and warm edits allocate nothing here either.
 class IncrementalTrussIndex {
  public:
   explicit IncrementalTrussIndex(const Graph& base);
@@ -133,25 +135,30 @@ class IncrementalTrussIndex {
   const std::vector<int32_t>& row(NodeId u) const { return truss_[u]; }
 
  private:
-  static uint64_t EdgeKey(NodeId u, NodeId v);
-  static std::pair<NodeId, NodeId> KeyEdge(uint64_t key);
-  // Position of v in adj[u]; -1 when absent.
+  // Position of v in adj[u], or where it would be inserted.
   static int64_t SlotOf(const SortedAdjacency& adj, NodeId u, NodeId v);
   // Writes k into both slots of the present edge (u, v).
   void Set(const SortedAdjacency& adj, NodeId u, NodeId v, int64_t k);
 
-  // Largest k in [2, cap] with >= k-2 triangles through (a, b) whose
-  // other two edges both carry truss >= k under the current values.
+  // Largest k in [2, cap] with >= k-2 triangles through (a, b) whose other
+  // two edges both carry >= k - lift under the current values.
   int64_t SupportedLevel(const SortedAdjacency& adj, NodeId a, NodeId b,
-                         int64_t cap) const;
-  // Chaotic downward re-proving until consistent. With `floor` non-null
-  // (insertion mode) only edges present in the floor map are processed or
-  // enqueued, and no edge settles below its floor.
-  void DownwardFixpoint(const SortedAdjacency& adj,
-                        std::deque<std::pair<NodeId, NodeId>>* work,
-                        const std::unordered_map<uint64_t, int64_t>* floor);
+                         int64_t cap, int64_t lift);
+  // Queues edge (a, c), at slot ia of adj[a], as an insertion candidate:
+  // once, and only when its truss number is below the ceiling kub.
+  void Consider(const SortedAdjacency& adj, NodeId a, size_t ia, NodeId c,
+                int64_t kub);
+  // Re-proves the edges queued in work_ downward until consistent.
+  void DownwardFixpoint(const SortedAdjacency& adj);
 
   std::vector<std::vector<int32_t>> truss_;  // rows parallel to adj
+
+  // Per-edit scratch, left clean after every edit: a candidate mark per
+  // slot (rows parallel to adj), the edge work list and the triangle
+  // levels of SupportedLevel.
+  std::vector<std::vector<uint8_t>> mark_;
+  std::vector<std::pair<NodeId, NodeId>> work_;
+  std::vector<int64_t> levels_;
 };
 
 // Delta + both incremental indices behind one internally-locked
@@ -160,11 +167,11 @@ class IncrementalTrussIndex {
 // KTrussCommunity run on a compacted snapshot of the same version.
 class DynamicCommunityIndex {
  public:
-  // `base` must be non-null with node ids fitting 32 bits (edge-key
-  // packing); InvalidArgument otherwise. The core index starts from an
-  // O(m) peel of base, the truss index from base's cached decomposition
-  // (graph/decomposition.h), built here if no query has built it yet --
-  // O(m^1.5); per-edit repair is the point of everything after.
+  // `base` must be non-null; InvalidArgument otherwise. The core index
+  // starts from an O(m) peel of base, the truss index from base's cached
+  // decomposition (graph/decomposition.h), built here if no query has
+  // built it yet -- O(m^1.5); per-edit repair is the point of everything
+  // after.
   static StatusOr<std::shared_ptr<DynamicCommunityIndex>> Create(
       std::shared_ptr<const Graph> base);
 

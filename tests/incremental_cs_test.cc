@@ -1,7 +1,11 @@
 #include "cs/dynamic.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +21,23 @@
 #include "obs/metrics.h"
 #include "tensor/rng.h"
 #include "tests/test_util.h"
+
+// Global operator new, counting calls while g_count_news is set: the
+// heap probe of DynamicCommunityIndex.WarmEditsAllocateNothing.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cgnp {
 namespace {
@@ -287,7 +308,8 @@ std::vector<int64_t> CoreClassSizes(const std::vector<int64_t>& core) {
 // absent pair, mostly inside one community), then a clique planted on
 // `clique` nodes of the base's dominant core class and torn down again,
 // so core numbers rise and fall by several levels. Both indices are
-// compared with batch throughout.
+// compared with batch throughout: truss numbers every `truss_every` mixed
+// edits and after every clique edit, where they move by several levels.
 void RunDifferential(const Graph& base, uint64_t seed, int64_t edits,
                      int64_t clique, int64_t truss_every) {
   const auto idx_or =
@@ -351,7 +373,8 @@ void RunDifferential(const Graph& base, uint64_t seed, int64_t edits,
   for (const auto& [u, v] : planted) {
     model.Insert(u, v);
     ASSERT_TRUE(idx.InsertEdge(u, v).ok());
-    ExpectCoresMatchBatch(idx, model, ++edit, truss_every, "clique insert");
+    ExpectCoresMatchBatch(idx, model, ++edit, /*truss_every=*/1,
+                          "clique insert");
     if (::testing::Test::HasFatalFailure()) return;
   }
   for (const NodeId v : members) {
@@ -361,7 +384,8 @@ void RunDifferential(const Graph& base, uint64_t seed, int64_t edits,
   for (const auto& [u, v] : planted) {
     model.Remove(u, v);
     ASSERT_TRUE(idx.DeleteEdge(u, v).ok());
-    ExpectCoresMatchBatch(idx, model, ++edit, truss_every, "clique delete");
+    ExpectCoresMatchBatch(idx, model, ++edit, /*truss_every=*/1,
+                          "clique delete");
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_EQ(idx.delta_depth(), edit);
@@ -498,6 +522,52 @@ TEST(DynamicCommunityIndex, ConcurrentCompactionsReportEveryFoldedEdit) {
   EXPECT_EQ(prev_version, idx.version());
   EXPECT_EQ(idx.delta_depth(), 0);
   ExpectIndexMatchesSnapshot(idx, *prev, "after concurrent compactions");
+}
+
+TEST(DynamicCommunityIndex, WarmEditsAllocateNothing) {
+  SyntheticConfig cfg;
+  cfg.num_nodes = 300;
+  cfg.num_communities = 3;
+  cfg.intra_degree = 12;
+  cfg.inter_degree = 1;
+  Rng rng(5);
+  const Graph base = GenerateSyntheticGraph(cfg, &rng);
+  // The edge on the most triangles: deleting and re-inserting it moves
+  // truss numbers through the candidate search and the downward repair.
+  NodeId u = 0;
+  NodeId v = 0;
+  size_t best = 0;
+  for (NodeId a = 0; a < base.num_nodes(); ++a) {
+    for (const NodeId b : base.Neighbors(a)) {
+      std::vector<NodeId> common;
+      std::set_intersection(base.Neighbors(a).begin(), base.Neighbors(a).end(),
+                            base.Neighbors(b).begin(), base.Neighbors(b).end(),
+                            std::back_inserter(common));
+      if (common.size() > best) {
+        best = common.size();
+        u = a;
+        v = b;
+      }
+    }
+  }
+  const auto idx_or = DynamicCommunityIndex::Create(Share(base));
+  ASSERT_TRUE(idx_or.ok()) << idx_or.status();
+  DynamicCommunityIndex& idx = **idx_or;
+  ASSERT_GE(idx.CurrentTrussOf(u, v), 4) << "expected a triangle-rich edge";
+  const auto round = [&] {
+    const Status del = idx.Apply(GraphEdit{/*insert=*/false, u, v});
+    const Status ins = idx.Apply(GraphEdit{/*insert=*/true, u, v});
+    return del.ok() && ins.ok();
+  };
+  ASSERT_TRUE(round());  // warm-up: rows and scratch reach their sizes
+  g_news = 0;
+  g_count_news = true;
+  bool ok = true;
+  for (int i = 0; i < 100; ++i) ok = round() && ok;
+  g_count_news = false;
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(g_news.load(), 0) << "heap allocations over 100 warm rounds";
+  ExpectIndexMatchesSnapshot(idx, base, "after warm rounds");
 }
 
 uint64_t RepairTimings(const char* index) {
