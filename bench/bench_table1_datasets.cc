@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
   using namespace cgnp::bench;
   BenchOptions opt = ParseOptions(argc, argv, "table1_datasets");
 
-  std::printf("Table I: dataset profiles (synthetic stand-ins; see DESIGN.md)\n");
+  std::printf(
+      "Table I: dataset profiles (synthetic stand-ins; see "
+      "docs/ARCHITECTURE.md \"Substitutions\")\n");
   std::printf("%-10s | %10s %12s %8s %8s | %10s %12s %8s %8s\n", "Dataset",
               "paper|V|", "paper|E|", "|A|", "|C|", "ours|V|", "ours|E|",
               "|A|", "|C|");

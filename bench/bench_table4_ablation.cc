@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
     PrintTableHeader(profile.name + "  commutative ablation (encoder = GAT)");
     // The paper's three options plus the ANP-style per-node cross-attention
-    // extension (DESIGN.md design decision #4).
+    // extension (docs/ARCHITECTURE.md "Substitutions").
     std::vector<MethodResult> comm_results;
     for (CommutativeOp op :
          {CommutativeOp::kAttention, CommutativeOp::kSum,

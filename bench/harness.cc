@@ -141,11 +141,17 @@ double TimeMs(const std::function<void()>& fn) {
 std::vector<NamedMethod> MakeMethodRoster(const BenchOptions& opt,
                                           bool attributed) {
   std::vector<NamedMethod> out;
-  out.push_back({"ATC", std::make_unique<AtcMethod>(), false});
+  out.push_back({"ATC",
+                 std::make_unique<ClassicalMethod>(ClassicalMethod::Atc()),
+                 false});
   if (attributed) {
-    out.push_back({"ACQ", std::make_unique<AcqMethod>(), false});
+    out.push_back({"ACQ",
+                   std::make_unique<ClassicalMethod>(ClassicalMethod::Acq()),
+                   false});
   }
-  out.push_back({"CTC", std::make_unique<CtcMethod>(), false});
+  out.push_back({"CTC",
+                 std::make_unique<ClassicalMethod>(ClassicalMethod::Ctc()),
+                 false});
   out.push_back({"MAML", std::make_unique<MamlCs>(opt.method), true});
   out.push_back({"Reptile", std::make_unique<ReptileCs>(opt.method), true});
   out.push_back({"FeatTrans", std::make_unique<FeatTransCs>(opt.method), true});

@@ -138,20 +138,12 @@ int main() {
                 s.accuracy, s.precision, s.recall, s.f1);
   };
 
-  AtcMethod atc;
-  AcqMethod acq;
-  CtcMethod ctc;
-  KCoreMethod kcore;
-  KTrussMethod ktruss;
-  KCliqueMethod kclique;
-  KEccMethod kecc;
-  run(&atc);
-  run(&acq);
-  run(&ctc);
-  run(&kcore);
-  run(&ktruss);
-  run(&kclique);
-  run(&kecc);
+  for (ClassicalMethod method :
+       {ClassicalMethod::Atc(), ClassicalMethod::Acq(), ClassicalMethod::Ctc(),
+        ClassicalMethod::KCore(), ClassicalMethod::KTruss(),
+        ClassicalMethod::KClique(), ClassicalMethod::KEcc()}) {
+    run(&method);
+  }
 
   for (DecoderKind d :
        {DecoderKind::kInnerProduct, DecoderKind::kMlp, DecoderKind::kGnn}) {

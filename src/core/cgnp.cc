@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "meta/query_gnn.h"
-#include "tensor/ops.h"
 #include "tensor/optim.h"
 
 namespace cgnp {
@@ -65,49 +64,67 @@ Tensor CgnpModel::QueryLogits(const Graph& g, const Tensor& context, NodeId q,
   return decoder_.Forward(g, context, q, rng);
 }
 
-void CgnpMetaTrain(CgnpModel* model, const std::vector<CsTask>& tasks,
-                   int64_t epochs, float lr, uint64_t seed,
-                   const std::function<void(const CgnpEpochStats&)>& on_epoch) {
-  CGNP_CHECK(!tasks.empty());
+double CgnpMetaTrainLoop(
+    CgnpModel* model, const std::vector<CsTask>& train_tasks,
+    const std::vector<CsTask>& valid_tasks, int64_t epochs, float lr,
+    uint64_t seed, int64_t patience,
+    const std::function<void(const CgnpEpochStats&)>& on_epoch) {
+  CGNP_CHECK(!train_tasks.empty());
   Rng rng(seed);
   Adam opt(model->Parameters(), lr);
-  model->SetTraining(true);
-
-  std::vector<int64_t> order(tasks.size());
+  std::vector<int64_t> order(train_tasks.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
 
-  std::vector<float> targets, mask;
+  double best_f1 = -1.0;
+  std::vector<float> best_params;
+  if (!valid_tasks.empty()) best_params = model->FlatParameters();
+  int64_t stale = 0;
   for (int64_t epoch = 0; epoch < epochs; ++epoch) {
+    model->SetTraining(true);
     rng.Shuffle(&order);  // Algorithm 1 line 2
     float epoch_loss = 0.0f;
     int64_t used_tasks = 0;
     for (int64_t idx : order) {
-      const CsTask& task = tasks[idx];
+      const CsTask& task = train_tasks[idx];
       if (task.support.empty() || task.query.empty()) continue;
       opt.ZeroGrad();
       // Lines 5-7: context from the support set.
       Tensor context = model->TaskContext(task.graph, task.support, &rng);
-      // Lines 8-11: accumulated query-set loss (Eq. 19).
-      Tensor loss_sum;
-      for (const auto& ex : task.query) {
-        Tensor logits = model->QueryLogits(task.graph, context, ex.query, &rng);
-        ExampleTargets(ex, task.graph.num_nodes(), &targets, &mask);
-        Tensor loss = BceWithLogits(logits, targets, mask);
-        loss_sum = loss_sum.Defined() ? Add(loss_sum, loss) : loss;
-      }
-      loss_sum =
-          MulScalar(loss_sum, 1.0f / static_cast<float>(task.query.size()));
-      epoch_loss += loss_sum.Item();
+      // Lines 8-11: mean query-set loss (Eq. 19).
+      Tensor loss =
+          EpisodeLoss(task.query, task.graph.num_nodes(), [&](NodeId q) {
+            return model->QueryLogits(task.graph, context, q, &rng);
+          });
+      epoch_loss += loss.Item();
       ++used_tasks;
       // Line 12: one gradient step per task.
-      loss_sum.Backward();
+      loss.Backward();
       opt.Step();
     }
     if (on_epoch && used_tasks > 0) {
       on_epoch({epoch, epoch_loss / static_cast<float>(used_tasks)});
     }
+    if (valid_tasks.empty()) continue;
+    model->SetTraining(false);
+    const double f1 = CgnpValidationF1(*model, valid_tasks);
+    if (f1 > best_f1) {
+      best_f1 = f1;
+      best_params = model->FlatParameters();
+      stale = 0;
+    } else if (++stale >= patience) {
+      break;
+    }
   }
+  if (!valid_tasks.empty()) model->SetFlatParameters(best_params);
   model->SetTraining(false);
+  return best_f1;
+}
+
+void CgnpMetaTrain(CgnpModel* model, const std::vector<CsTask>& tasks,
+                   int64_t epochs, float lr, uint64_t seed,
+                   const std::function<void(const CgnpEpochStats&)>& on_epoch) {
+  CgnpMetaTrainLoop(model, tasks, {}, epochs, lr, seed, /*patience=*/0,
+                    on_epoch);
 }
 
 std::vector<std::vector<float>> CgnpMetaTest(const CgnpModel& model,
@@ -115,13 +132,9 @@ std::vector<std::vector<float>> CgnpMetaTest(const CgnpModel& model,
   NoGradGuard no_grad;
   // Algorithm 2: the whole support set is the conditioning context.
   Tensor context = model.TaskContext(task.graph, task.support, nullptr);
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(SigmoidValues(
-        model.QueryLogits(task.graph, context, ex.query, nullptr)));
-  }
-  return out;
+  return PredictQueries(task.query, [&](NodeId q) {
+    return model.QueryLogits(task.graph, context, q, nullptr);
+  });
 }
 
 double CgnpValidationF1(const CgnpModel& model,
@@ -144,51 +157,8 @@ double CgnpMetaTrainWithValidation(CgnpModel* model,
                                    int64_t epochs, float lr, uint64_t seed,
                                    int64_t patience) {
   CGNP_CHECK(!valid_tasks.empty());
-  double best_f1 = -1.0;
-  std::vector<float> best_params = model->FlatParameters();
-  int64_t stale = 0;
-  // Reuse the plain trainer one epoch at a time so the optimiser state is
-  // deliberately reset per epoch only for the shuffling rng; Adam moments
-  // persist inside each call. To keep Adam state across epochs we run the
-  // full loop here instead of calling CgnpMetaTrain repeatedly.
-  Rng rng(seed);
-  Adam opt(model->Parameters(), lr);
-  std::vector<int64_t> order(train_tasks.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  std::vector<float> targets, mask;
-  for (int64_t epoch = 0; epoch < epochs; ++epoch) {
-    model->SetTraining(true);
-    rng.Shuffle(&order);
-    for (int64_t idx : order) {
-      const CsTask& task = train_tasks[idx];
-      if (task.support.empty() || task.query.empty()) continue;
-      opt.ZeroGrad();
-      Tensor context = model->TaskContext(task.graph, task.support, &rng);
-      Tensor loss_sum;
-      for (const auto& ex : task.query) {
-        Tensor logits = model->QueryLogits(task.graph, context, ex.query, &rng);
-        ExampleTargets(ex, task.graph.num_nodes(), &targets, &mask);
-        Tensor loss = BceWithLogits(logits, targets, mask);
-        loss_sum = loss_sum.Defined() ? Add(loss_sum, loss) : loss;
-      }
-      loss_sum =
-          MulScalar(loss_sum, 1.0f / static_cast<float>(task.query.size()));
-      loss_sum.Backward();
-      opt.Step();
-    }
-    model->SetTraining(false);
-    const double f1 = CgnpValidationF1(*model, valid_tasks);
-    if (f1 > best_f1) {
-      best_f1 = f1;
-      best_params = model->FlatParameters();
-      stale = 0;
-    } else if (++stale >= patience) {
-      break;
-    }
-  }
-  model->SetFlatParameters(best_params);
-  model->SetTraining(false);
-  return best_f1;
+  return CgnpMetaTrainLoop(model, train_tasks, valid_tasks, epochs, lr, seed,
+                           patience, nullptr);
 }
 
 void CgnpMethod::MetaTrain(const std::vector<CsTask>& train_tasks) {

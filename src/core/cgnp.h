@@ -82,8 +82,21 @@ struct CgnpEpochStats {
   float mean_loss = 0.0f;
 };
 
-// Algorithm 1: meta-trains `model` on the training tasks. Deterministic
-// given `seed` (task shuffling, dropout).
+// Algorithm 1, the one epoch loop behind both trainers below: meta-trains
+// `model` on `train_tasks` for up to `epochs` epochs, deterministically
+// given `seed` (task shuffling, dropout), and calls `on_epoch` (if set)
+// after every epoch that trained a task. With `valid_tasks` non-empty it
+// scores mean validation F1 after every epoch, keeps the best parameter
+// snapshot, stops after `patience` epochs without improvement and ends
+// holding the best-F1 parameters; it returns the best F1 (-1 without
+// validation tasks). The model ends in eval mode.
+double CgnpMetaTrainLoop(
+    CgnpModel* model, const std::vector<CsTask>& train_tasks,
+    const std::vector<CsTask>& valid_tasks, int64_t epochs, float lr,
+    uint64_t seed, int64_t patience,
+    const std::function<void(const CgnpEpochStats&)>& on_epoch);
+
+// Algorithm 1 without validation.
 void CgnpMetaTrain(CgnpModel* model, const std::vector<CsTask>& tasks,
                    int64_t epochs, float lr, uint64_t seed,
                    const std::function<void(const CgnpEpochStats&)>& on_epoch =
@@ -99,10 +112,9 @@ std::vector<std::vector<float>> CgnpMetaTest(const CgnpModel& model,
 double CgnpValidationF1(const CgnpModel& model,
                         const std::vector<CsTask>& tasks);
 
-// Algorithm 1 with validation-based model selection: evaluates mean F1 on
-// `valid_tasks` after every epoch, keeps the best parameter snapshot, and
-// stops early after `patience` epochs without improvement. The model ends
-// holding the best-validation parameters. Returns the best validation F1.
+// Algorithm 1 with validation-based model selection on `valid_tasks`
+// (which must not be empty). The model ends holding the best-validation
+// parameters. Returns the best validation F1.
 double CgnpMetaTrainWithValidation(CgnpModel* model,
                                    const std::vector<CsTask>& train_tasks,
                                    const std::vector<CsTask>& valid_tasks,

@@ -137,35 +137,28 @@ Status CommunitySearchEngine::Fit(const Graph& g) {
   Rng model_rng(options_.model.seed);
   model_ = std::make_unique<CgnpModel>(options_.model, feature_dim_, &model_rng);
   const auto fit_start = std::chrono::steady_clock::now();
-  if (!valid.empty()) {
-    CgnpMetaTrainWithValidation(model_.get(), train, valid,
-                                options_.model.epochs, options_.model.lr,
-                                options_.model.seed,
-                                options_.early_stop_patience);
-  } else {
-    // Per-epoch observability: epoch counter + last-loss gauge in the
-    // default registry, and a rate-limited structured progress line.
-    auto& reg = obs::MetricsRegistry::Default();
-    obs::Counter& epochs_total = reg.GetCounter("cgnp_fit_epochs_total");
-    obs::Gauge& mean_loss = reg.GetGauge("cgnp_fit_mean_loss");
-    auto epoch_start = std::chrono::steady_clock::now();
-    CgnpMetaTrain(model_.get(), train, options_.model.epochs,
-                  options_.model.lr, options_.model.seed,
-                  [&](const CgnpEpochStats& s) {
-                    const auto now = std::chrono::steady_clock::now();
-                    const double epoch_ms =
-                        std::chrono::duration<double, std::milli>(
-                            now - epoch_start)
-                            .count();
-                    epoch_start = now;
-                    epochs_total.Increment();
-                    mean_loss.Set(s.mean_loss);
-                    CGNP_LOG_EVERY(kDebug, "fit_epoch", /*per_second=*/20.0)
-                        .Num("epoch", static_cast<double>(s.epoch))
-                        .Num("mean_loss", s.mean_loss)
-                        .Num("epoch_ms", epoch_ms);
-                  });
-  }
+  // Per-epoch observability: epoch counter + last-loss gauge in the
+  // default registry, and a rate-limited structured progress line.
+  auto& reg = obs::MetricsRegistry::Default();
+  obs::Counter& epochs_total = reg.GetCounter("cgnp_fit_epochs_total");
+  obs::Gauge& mean_loss = reg.GetGauge("cgnp_fit_mean_loss");
+  auto epoch_start = std::chrono::steady_clock::now();
+  CgnpMetaTrainLoop(
+      model_.get(), train, valid, options_.model.epochs, options_.model.lr,
+      options_.model.seed, options_.early_stop_patience,
+      [&](const CgnpEpochStats& s) {
+        const auto now = std::chrono::steady_clock::now();
+        const double epoch_ms =
+            std::chrono::duration<double, std::milli>(now - epoch_start)
+                .count();
+        epoch_start = now;
+        epochs_total.Increment();
+        mean_loss.Set(s.mean_loss);
+        CGNP_LOG_EVERY(kDebug, "fit_epoch", /*per_second=*/20.0)
+            .Num("epoch", static_cast<double>(s.epoch))
+            .Num("mean_loss", s.mean_loss)
+            .Num("epoch_ms", epoch_ms);
+      });
   const double fit_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - fit_start)
                             .count();

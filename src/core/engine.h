@@ -73,7 +73,7 @@ class CommunitySearchEngine {
     int64_t num_train_tasks = 40;
     // When > 0, this many extra tasks are sampled for validation and
     // meta-training uses early stopping with best-snapshot selection
-    // (CgnpMetaTrainWithValidation).
+    // (CgnpMetaTrainLoop).
     int64_t num_valid_tasks = 0;
     int64_t early_stop_patience = 10;
     uint64_t seed = 7;

@@ -1,7 +1,8 @@
 // Named dataset profiles that mimic the salient statistics of the paper's
-// six evaluation datasets (Table I) at CPU-tractable scale. See DESIGN.md
-// for the substitution rationale; absolute sizes are scaled down while
-// density, community count/size ratios and attribute presence are kept.
+// six evaluation datasets (Table I) at CPU-tractable scale. See
+// docs/ARCHITECTURE.md "Substitutions" for the rationale; absolute sizes
+// are scaled down while density, community count/size ratios and attribute
+// presence are kept.
 #ifndef CGNP_DATA_PROFILES_H_
 #define CGNP_DATA_PROFILES_H_
 

@@ -1,10 +1,10 @@
 // Synthetic graphs with planted ground-truth communities.
 //
 // The generator produces planted-partition graphs with three properties the
-// paper's methods exploit (see DESIGN.md "Simulated / substituted
-// components"): intra-community density >> inter-community density,
-// attribute homophily (community members draw attributes from a shared
-// pool), and optional degree heterogeneity. Ground-truth community ids are
+// paper's methods exploit (see docs/ARCHITECTURE.md "Substitutions"):
+// intra-community density >> inter-community density, attribute homophily
+// (community members draw attributes from a shared pool), and optional
+// degree heterogeneity. Ground-truth community ids are
 // attached to the graph and drive the task samplers.
 #ifndef CGNP_DATA_SYNTHETIC_H_
 #define CGNP_DATA_SYNTHETIC_H_

@@ -1,7 +1,6 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "common/check.h"
@@ -274,17 +273,15 @@ std::vector<int64_t> BfsDistances(const Graph& g, NodeId src,
   if (mask != nullptr) {
     CGNP_CHECK((*mask)[src]) << " BfsDistances: masked-out source";
   }
-  std::deque<NodeId> q;
+  std::vector<NodeId> queue{src};
   dist[src] = 0;
-  q.push_back(src);
-  while (!q.empty()) {
-    const NodeId v = q.front();
-    q.pop_front();
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
     for (NodeId u : g.Neighbors(v)) {
       if (dist[u] != -1) continue;
       if (mask != nullptr && !(*mask)[u]) continue;
       dist[u] = dist[v] + 1;
-      q.push_back(u);
+      queue.push_back(u);
     }
   }
   return dist;
@@ -331,22 +328,18 @@ std::vector<NodeId> KTrussBfs(const Graph& g, NodeId q, int64_t k,
   const auto row_ptr = g.row_ptr();
   const auto col_idx = g.col_idx();
   std::vector<char> seen(g.num_nodes(), 0);
-  std::deque<NodeId> queue;
-  std::vector<NodeId> out;
+  std::vector<NodeId> out{q};  // doubles as the BFS queue
   seen[q] = 1;
-  queue.push_back(q);
   bool q_has_edge = false;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    out.push_back(v);
+  for (size_t head = 0; head < out.size(); ++head) {
+    const NodeId v = out[head];
     for (int64_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
       if (!keep(p)) continue;
       if (v == q) q_has_edge = true;
       const NodeId u = col_idx[p];
       if (!seen[u]) {
         seen[u] = 1;
-        queue.push_back(u);
+        out.push_back(u);
       }
     }
   }

@@ -13,7 +13,8 @@
 //                           a serving process.
 //   cgnp-determinism        no rand()/srand()/random_device and no
 //                           std::unordered_{map,set} in bitwise-determinism
-//                           kernel paths (src/tensor/, src/nn/): hash-table
+//                           paths (src/tensor/, src/nn/, src/meta/, the
+//                           src/core/cgnp*.{h,cc} files): hash-table
 //                           iteration order and libc PRNG state are
 //                           platform-dependent.
 //   cgnp-raw-logging        no std::cout/std::cerr/printf-family output in
@@ -89,9 +90,14 @@ struct LintConfig {
       // arrive from user files via graph_convert apply-edits).
       "src/graph/delta.h", "src/graph/delta.cc",
   };
-  // cgnp-determinism applies here.
+  // cgnp-determinism applies here: the kernels, and the trainers and
+  // models whose parameters and predictions are pinned bitwise.
   std::vector<std::string> deterministic_paths = {
-      "src/tensor/", "src/nn/",
+      "src/tensor/", "src/nn/", "src/meta/",
+      "src/core/cgnp.h", "src/core/cgnp.cc", "src/core/cgnp_config.h",
+      "src/core/cgnp_encoder.h", "src/core/cgnp_encoder.cc",
+      "src/core/cgnp_decoder.h", "src/core/cgnp_decoder.cc",
+      "src/core/cgnp_searcher.h", "src/core/cgnp_searcher.cc",
   };
   // cgnp-raw-logging applies here...
   std::vector<std::string> raw_logging_paths = {"src/"};

@@ -43,28 +43,18 @@ std::vector<std::vector<float>> AqdGnnCs::PredictTask(const CsTask& task) {
   AqdGnnModel model(cfg_, task.graph.feature_dim(), &rng);
   Adam opt(model.Parameters(), cfg_.lr);
   model.SetTraining(true);
-  std::vector<float> targets, mask;
+  const QueryLogitsFn logits = [&](NodeId q) {
+    return model.Forward(task.graph, q, &rng);
+  };
   for (int64_t epoch = 0; epoch < cfg_.per_task_epochs; ++epoch) {
     opt.ZeroGrad();
-    Tensor loss_sum;
-    for (const auto& ex : task.support) {
-      Tensor logits = model.Forward(task.graph, ex.query, &rng);
-      ExampleTargets(ex, task.graph.num_nodes(), &targets, &mask);
-      Tensor loss = BceWithLogits(logits, targets, mask);
-      loss_sum = loss_sum.Defined() ? Add(loss_sum, loss) : loss;
-    }
-    loss_sum =
-        MulScalar(loss_sum, 1.0f / static_cast<float>(task.support.size()));
-    loss_sum.Backward();
+    EpisodeLoss(task.support, task.graph.num_nodes(), logits).Backward();
     opt.Step();
   }
   model.SetTraining(false);
-  NoGradGuard no_grad;
-  std::vector<std::vector<float>> out;
-  for (const auto& ex : task.query) {
-    out.push_back(SigmoidValues(model.Forward(task.graph, ex.query, nullptr)));
-  }
-  return out;
+  return PredictQueries(task.query, [&](NodeId q) {
+    return model.Forward(task.graph, q, nullptr);
+  });
 }
 
 }  // namespace cgnp

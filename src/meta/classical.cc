@@ -2,88 +2,58 @@
 
 namespace cgnp {
 
-namespace {
-
-std::vector<float> MembersToProbs(const std::vector<NodeId>& members,
-                                  int64_t n) {
-  std::vector<float> probs(n, 0.0f);
-  for (NodeId v : members) probs[v] = 1.0f;
-  return probs;
+ClassicalMethod ClassicalMethod::Atc(const AtcConfig& cfg) {
+  return {"ATC", [cfg](const Graph& g, NodeId q) {
+            return AttributedTrussCommunity(g, q, cfg);
+          }};
 }
 
-}  // namespace
+ClassicalMethod ClassicalMethod::Acq(const AcqConfig& cfg) {
+  return {"ACQ", [cfg](const Graph& g, NodeId q) {
+            auto members = AttributedCommunityQuery(g, q, cfg);
+            if (members.empty()) members = KCoreCommunity(g, q, cfg.k);
+            return members;
+          }};
+}
 
-std::vector<std::vector<float>> AtcMethod::PredictTask(const CsTask& task) {
+ClassicalMethod ClassicalMethod::Ctc(const CtcConfig& cfg) {
+  return {"CTC", [cfg](const Graph& g, NodeId q) {
+            return ClosestTrussCommunity(g, q, cfg);
+          }};
+}
+
+ClassicalMethod ClassicalMethod::KCore() {
+  return {"k-core",
+          [](const Graph& g, NodeId q) { return KCoreCommunity(g, q); }};
+}
+
+ClassicalMethod ClassicalMethod::KTruss() {
+  return {"k-truss",
+          [](const Graph& g, NodeId q) { return KTrussCommunity(g, q); }};
+}
+
+ClassicalMethod ClassicalMethod::KClique(const KCliqueConfig& cfg) {
+  return {"k-clique", [cfg](const Graph& g, NodeId q) {
+            auto members = KCliqueCommunity(g, q, cfg);
+            if (members.empty()) members.push_back(q);
+            return members;
+          }};
+}
+
+ClassicalMethod ClassicalMethod::KEcc(const KEccConfig& cfg) {
+  return {"k-ecc", [cfg](const Graph& g, NodeId q) {
+            return KEccCommunity(g, q, cfg);
+          }};
+}
+
+std::vector<std::vector<float>> ClassicalMethod::PredictTask(
+    const CsTask& task) {
   std::vector<std::vector<float>> out;
   out.reserve(task.query.size());
   for (const auto& ex : task.query) {
-    out.push_back(
-        MembersToProbs(AttributedTrussCommunity(task.graph, ex.query, cfg_),
-                       task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> AcqMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    auto members = AttributedCommunityQuery(task.graph, ex.query, cfg_);
-    if (members.empty()) {
-      members = KCoreCommunity(task.graph, ex.query, cfg_.k);
-    }
-    out.push_back(MembersToProbs(members, task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> CtcMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(MembersToProbs(ClosestTrussCommunity(task.graph, ex.query, cfg_),
-                                 task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> KCoreMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(MembersToProbs(KCoreCommunity(task.graph, ex.query),
-                                 task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> KTrussMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(MembersToProbs(KTrussCommunity(task.graph, ex.query),
-                                 task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> KCliqueMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    auto members = KCliqueCommunity(task.graph, ex.query, cfg_);
-    if (members.empty()) members.push_back(ex.query);
-    out.push_back(MembersToProbs(members, task.graph.num_nodes()));
-  }
-  return out;
-}
-
-std::vector<std::vector<float>> KEccMethod::PredictTask(const CsTask& task) {
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(MembersToProbs(KEccCommunity(task.graph, ex.query, cfg_),
-                                 task.graph.num_nodes()));
+    std::vector<float> probs(task.graph.num_nodes(), 0.0f);
+    for (NodeId v : algorithm_(task.graph, ex.query)) probs[v] = 1.0f;
+    out.push_back(std::move(probs));
   }
   return out;
 }

@@ -1,8 +1,11 @@
-// CsMethod adapters around the classical community-search algorithms so the
-// benchmark harness can evaluate them alongside the learned methods. They
-// ignore ground truth entirely and output 0/1 memberships.
+// The classical community-search algorithms as CsMethods, so the benchmark
+// harness can evaluate them alongside the learned methods. They ignore
+// ground truth entirely and output 0/1 memberships.
 #ifndef CGNP_META_CLASSICAL_H_
 #define CGNP_META_CLASSICAL_H_
+
+#include <functional>
+#include <string>
 
 #include "cs/acq.h"
 #include "cs/atc.h"
@@ -15,82 +18,37 @@
 
 namespace cgnp {
 
-class AtcMethod : public CsMethod {
+// A display name plus the algorithm answering one query. The named
+// constructors call the src/cs functions directly on the task graph (no
+// graph-cached decompositions, unlike the served registry backends in
+// cs/searcher.cc), so their timings cover the whole search.
+class ClassicalMethod : public CsMethod {
  public:
-  explicit AtcMethod(const AtcConfig& cfg = {}) : cfg_(cfg) {}
-  std::string name() const override { return "ATC"; }
+  using Algorithm = std::function<std::vector<NodeId>(const Graph&, NodeId)>;
+
+  ClassicalMethod(std::string name, Algorithm algorithm)
+      : name_(std::move(name)), algorithm_(std::move(algorithm)) {}
+
+  static ClassicalMethod Atc(const AtcConfig& cfg = {});
+  // Falls back to the k-core community when no attributed community
+  // exists. The benches skip ACQ on non-attributed graphs, as the paper
+  // does.
+  static ClassicalMethod Acq(const AcqConfig& cfg = {});
+  static ClassicalMethod Ctc(const CtcConfig& cfg = {});
+  // Plain structural baselines (used in the examples and ablations).
+  static ClassicalMethod KCore();
+  static ClassicalMethod KTruss();
+  // Falls back to {q} when q is in no k-clique community.
+  static ClassicalMethod KClique(const KCliqueConfig& cfg = {});
+  static ClassicalMethod KEcc(const KEccConfig& cfg = {});
+
+  std::string name() const override { return name_; }
   void MetaTrain(const std::vector<CsTask>&) override {}
   std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
 
  private:
-  AtcConfig cfg_;
-};
-
-class AcqMethod : public CsMethod {
- public:
-  explicit AcqMethod(const AcqConfig& cfg = {}) : cfg_(cfg) {}
-  std::string name() const override { return "ACQ"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  // Falls back to the k-core community when no attributed community exists
-  // (matching ACQ's inapplicability to non-attributed graphs is handled by
-  // the benches, which skip it there as the paper does).
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-
-  // True when the task graphs carry attributes (ACQ's requirement).
-  static bool Supports(const CsTask& task) {
-    return task.graph.has_attributes();
-  }
-
- private:
-  AcqConfig cfg_;
-};
-
-class CtcMethod : public CsMethod {
- public:
-  explicit CtcMethod(const CtcConfig& cfg = {}) : cfg_(cfg) {}
-  std::string name() const override { return "CTC"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-
- private:
-  CtcConfig cfg_;
-};
-
-// Plain structural baselines (useful in the examples and ablations).
-class KCoreMethod : public CsMethod {
- public:
-  std::string name() const override { return "k-core"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-};
-
-class KTrussMethod : public CsMethod {
- public:
-  std::string name() const override { return "k-truss"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-};
-
-class KCliqueMethod : public CsMethod {
- public:
-  explicit KCliqueMethod(const KCliqueConfig& cfg = {}) : cfg_(cfg) {}
-  std::string name() const override { return "k-clique"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-
- private:
-  KCliqueConfig cfg_;
-};
-
-class KEccMethod : public CsMethod {
- public:
-  explicit KEccMethod(const KEccConfig& cfg = {}) : cfg_(cfg) {}
-  std::string name() const override { return "k-ecc"; }
-  void MetaTrain(const std::vector<CsTask>&) override {}
-  std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
-
- private:
-  KEccConfig cfg_;
+  std::string name_;
+  Algorithm algorithm_;
 };
 
 }  // namespace cgnp

@@ -1,7 +1,6 @@
 #include "meta/feat_trans.h"
 
 #include "common/check.h"
-#include "tensor/ops.h"
 #include "tensor/optim.h"
 
 namespace cgnp {
@@ -27,24 +26,11 @@ void FeatTransCs::MetaTrain(const std::vector<CsTask>& train_tasks) {
 
 std::vector<std::vector<float>> FeatTransCs::PredictTask(const CsTask& task) {
   CGNP_CHECK(model_ != nullptr) << " FeatTrans requires MetaTrain first";
-  Rng rng(cfg_.seed);
-  model_->SetFlatParameters(pretrained_);
   // Fine-tune the final layer only, a few gradient steps on the support set.
-  Sgd opt(model_->FinalLayerParameters(), cfg_.inner_lr);
-  model_->SetTraining(true);
   constexpr int64_t kFineTuneSteps = 5;
-  for (int64_t step = 0; step < kFineTuneSteps; ++step) {
-    QueryGnnEpoch(model_.get(), task.graph, task.support, &rng, &opt);
-  }
-  model_->SetTraining(false);
-  NoGradGuard no_grad;
-  std::vector<std::vector<float>> out;
-  for (const auto& ex : task.query) {
-    out.push_back(
-        SigmoidValues(model_->Forward(task.graph, ex.query, nullptr)));
-  }
-  model_->SetFlatParameters(pretrained_);
-  return out;
+  return AdaptAndPredict(model_.get(), pretrained_,
+                         model_->FinalLayerParameters(), kFineTuneSteps, cfg_,
+                         task);
 }
 
 }  // namespace cgnp

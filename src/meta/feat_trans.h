@@ -18,6 +18,9 @@ class FeatTransCs : public CsMethod {
   void MetaTrain(const std::vector<CsTask>& train_tasks) override;
   std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
 
+  // The parameters every test task adapts from (set by MetaTrain).
+  const std::vector<float>& trained_parameters() const { return pretrained_; }
+
  private:
   MethodConfig cfg_;
   std::unique_ptr<QueryGnn> model_;

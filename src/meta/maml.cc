@@ -1,31 +1,11 @@
 #include "meta/maml.h"
 
 #include "common/check.h"
-#include "tensor/ops.h"
 #include "tensor/optim.h"
 
 namespace cgnp {
 
 namespace {
-
-// Computes the mean BCE loss over `examples`, runs backward, and leaves the
-// gradients on the model parameters (caller decides what to do with them).
-float BackwardLoss(QueryGnn* model, const Graph& g,
-                   const std::vector<QueryExample>& examples, Rng* rng) {
-  model->ZeroGrad();
-  Tensor loss_sum;
-  std::vector<float> targets, mask;
-  for (const auto& ex : examples) {
-    Tensor logits = model->Forward(g, ex.query, rng);
-    ExampleTargets(ex, g.num_nodes(), &targets, &mask);
-    Tensor loss = BceWithLogits(logits, targets, mask);
-    loss_sum = loss_sum.Defined() ? Add(loss_sum, loss) : loss;
-  }
-  loss_sum = MulScalar(loss_sum, 1.0f / static_cast<float>(examples.size()));
-  const float value = loss_sum.Item();
-  loss_sum.Backward();
-  return value;
-}
 
 // Gradient snapshot of every model parameter, flattened.
 std::vector<float> FlatGrads(const QueryGnn& model) {
@@ -60,12 +40,13 @@ void MamlCs::MetaTrain(const std::vector<CsTask>& train_tasks) {
       const std::vector<float> theta = model_->FlatParameters();
       // Inner loop: adapt task-specific parameters on the support set.
       for (int64_t step = 0; step < cfg_.inner_steps_train; ++step) {
-        BackwardLoss(model_.get(), task.graph, task.support, &rng);
-        inner.Step();
-        model_->ZeroGrad();
+        QueryGnnEpoch(model_.get(), task.graph, task.support, &rng, &inner);
       }
       // Outer gradient: query-set loss at the adapted parameters.
-      BackwardLoss(model_.get(), task.graph, task.query, &rng);
+      model_->ZeroGrad();
+      EpisodeLoss(task.query, task.graph.num_nodes(), [&](NodeId q) {
+        return model_->Forward(task.graph, q, &rng);
+      }).Backward();
       const std::vector<float> outer_grad = FlatGrads(*model_);
       // Restore meta parameters and apply the outer step.
       model_->SetFlatParameters(theta);
@@ -85,24 +66,8 @@ void MamlCs::MetaTrain(const std::vector<CsTask>& train_tasks) {
 
 std::vector<std::vector<float>> MamlCs::PredictTask(const CsTask& task) {
   CGNP_CHECK(model_ != nullptr) << " MAML requires MetaTrain first";
-  Rng rng(cfg_.seed);
-  model_->SetFlatParameters(meta_params_);
-  Sgd inner(model_->Parameters(), cfg_.inner_lr);
-  model_->SetTraining(true);
-  for (int64_t step = 0; step < cfg_.inner_steps_test; ++step) {
-    BackwardLoss(model_.get(), task.graph, task.support, &rng);
-    inner.Step();
-    model_->ZeroGrad();
-  }
-  model_->SetTraining(false);
-  NoGradGuard no_grad;
-  std::vector<std::vector<float>> out;
-  for (const auto& ex : task.query) {
-    out.push_back(
-        SigmoidValues(model_->Forward(task.graph, ex.query, nullptr)));
-  }
-  model_->SetFlatParameters(meta_params_);
-  return out;
+  return AdaptAndPredict(model_.get(), meta_params_, model_->Parameters(),
+                         cfg_.inner_steps_test, cfg_, task);
 }
 
 }  // namespace cgnp

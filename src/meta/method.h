@@ -16,7 +16,7 @@ namespace cgnp {
 
 // Hyper-parameters shared by the learned methods. Defaults follow
 // Section VII-A (GAT, 3 layers, dropout 0.2, Adam 5e-4) with the hidden
-// width scaled for CPU (see DESIGN.md).
+// width scaled for CPU (see docs/ARCHITECTURE.md "Substitutions").
 struct MethodConfig {
   GnnKind gnn = GnnKind::kGat;
   int64_t hidden_dim = 64;

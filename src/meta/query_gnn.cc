@@ -55,11 +55,8 @@ Tensor QueryGnn::Forward(const Graph& g, NodeId q, Rng* rng) const {
 }
 
 std::vector<Tensor> QueryGnn::FinalLayerParameters() const {
-  // The stack registers one conv child per layer in order; its Parameters()
-  // are grouped per layer, so the tail group belongs to the last conv. We
-  // recover it by construction: build the full list and keep tensors not in
-  // the list of the stack minus the last layer. Simpler: rebuild from
-  // counts -- every layer of a given kind has a fixed parameter count.
+  // Every layer of the stack registers the same number of parameter
+  // tensors, in layer order, so the last layer owns the tail.
   const auto all = stack_.Parameters();
   int64_t per_layer = static_cast<int64_t>(all.size()) / stack_.num_layers();
   CGNP_CHECK_GT(per_layer, 0);
@@ -67,25 +64,61 @@ std::vector<Tensor> QueryGnn::FinalLayerParameters() const {
   return out;
 }
 
-float QueryGnnEpoch(QueryGnn* model, const Graph& g,
-                    const std::vector<QueryExample>& examples, Rng* rng,
-                    Optimizer* opt) {
+Tensor EpisodeLoss(const std::vector<QueryExample>& examples,
+                   int64_t num_nodes, const QueryLogitsFn& logits) {
   CGNP_CHECK(!examples.empty());
-  opt->ZeroGrad();
-  float total = 0.0f;
   Tensor loss_sum;
   std::vector<float> targets, mask;
   for (const auto& ex : examples) {
-    Tensor logits = model->Forward(g, ex.query, rng);
-    ExampleTargets(ex, g.num_nodes(), &targets, &mask);
-    Tensor loss = BceWithLogits(logits, targets, mask);
+    Tensor example_logits = logits(ex.query);
+    ExampleTargets(ex, num_nodes, &targets, &mask);
+    Tensor loss = BceWithLogits(example_logits, targets, mask);
     loss_sum = loss_sum.Defined() ? Add(loss_sum, loss) : loss;
   }
-  loss_sum = MulScalar(loss_sum, 1.0f / static_cast<float>(examples.size()));
-  total = loss_sum.Item();
-  loss_sum.Backward();
+  return MulScalar(loss_sum, 1.0f / static_cast<float>(examples.size()));
+}
+
+std::vector<std::vector<float>> PredictQueries(
+    const std::vector<QueryExample>& examples, const QueryLogitsFn& logits) {
+  NoGradGuard no_grad;
+  std::vector<std::vector<float>> out;
+  out.reserve(examples.size());
+  for (const auto& ex : examples) {
+    out.push_back(SigmoidValues(logits(ex.query)));
+  }
+  return out;
+}
+
+float QueryGnnEpoch(QueryGnn* model, const Graph& g,
+                    const std::vector<QueryExample>& examples, Rng* rng,
+                    Optimizer* opt) {
+  opt->ZeroGrad();
+  Tensor loss = EpisodeLoss(examples, g.num_nodes(), [&](NodeId q) {
+    return model->Forward(g, q, rng);
+  });
+  const float value = loss.Item();
+  loss.Backward();
   opt->Step();
-  return total;
+  return value;
+}
+
+std::vector<std::vector<float>> AdaptAndPredict(
+    QueryGnn* model, const std::vector<float>& start,
+    std::vector<Tensor> params, int64_t steps, const MethodConfig& cfg,
+    const CsTask& task) {
+  Rng rng(cfg.seed);
+  model->SetFlatParameters(start);
+  Sgd opt(std::move(params), cfg.inner_lr);
+  model->SetTraining(true);
+  for (int64_t step = 0; step < steps; ++step) {
+    QueryGnnEpoch(model, task.graph, task.support, &rng, &opt);
+  }
+  model->SetTraining(false);
+  auto out = PredictQueries(task.query, [&](NodeId q) {
+    return model->Forward(task.graph, q, nullptr);
+  });
+  model->SetFlatParameters(start);
+  return out;
 }
 
 }  // namespace cgnp

@@ -5,6 +5,7 @@
 #ifndef CGNP_META_QUERY_GNN_H_
 #define CGNP_META_QUERY_GNN_H_
 
+#include <functional>
 #include <vector>
 
 #include "data/tasks.h"
@@ -41,11 +42,37 @@ class QueryGnn : public Module {
   GnnStack stack_;
 };
 
-// One BCE training step (all support examples of `task` as a batch) on any
-// callable producing logits; shared by the per-task trainers.
+// Membership logits {n,1} of one query node.
+using QueryLogitsFn = std::function<Tensor(NodeId)>;
+
+// The episode loss of Eq. (3) / Eq. (19), the one every learned trainer
+// minimises: the masked BCE of logits(ex.query) against each example's
+// pos / neg samples, summed in example order and scaled by 1/|examples|.
+// `examples` must not be empty; `num_nodes` sizes the targets.
+Tensor EpisodeLoss(const std::vector<QueryExample>& examples,
+                   int64_t num_nodes, const QueryLogitsFn& logits);
+
+// sigmoid(logits(ex.query)) for every example, computed without gradients:
+// one probability vector per example, in example order.
+std::vector<std::vector<float>> PredictQueries(
+    const std::vector<QueryExample>& examples, const QueryLogitsFn& logits);
+
+// One training step of `model` on `examples` as a batch: zero the
+// optimiser's gradients, EpisodeLoss, backward, opt->Step(). Returns the
+// loss value.
 float QueryGnnEpoch(QueryGnn* model, const Graph& g,
                     const std::vector<QueryExample>& examples, Rng* rng,
                     class Optimizer* opt);
+
+// Test-time adaptation shared by MAML, Reptile and FeatTrans: loads `start`
+// into `model`, takes `steps` QueryGnnEpoch steps of plain SGD
+// (cfg.inner_lr, rng seeded with cfg.seed) on task.support over `params`
+// (tensors of `model`), predicts every query of the task and loads `start`
+// again, so no adaptation outlives the call.
+std::vector<std::vector<float>> AdaptAndPredict(
+    QueryGnn* model, const std::vector<float>& start,
+    std::vector<Tensor> params, int64_t steps, const MethodConfig& cfg,
+    const CsTask& task);
 
 }  // namespace cgnp
 

@@ -1,7 +1,6 @@
 #include "meta/reptile.h"
 
 #include "common/check.h"
-#include "tensor/ops.h"
 #include "tensor/optim.h"
 
 namespace cgnp {
@@ -43,22 +42,8 @@ void ReptileCs::MetaTrain(const std::vector<CsTask>& train_tasks) {
 
 std::vector<std::vector<float>> ReptileCs::PredictTask(const CsTask& task) {
   CGNP_CHECK(model_ != nullptr) << " Reptile requires MetaTrain first";
-  Rng rng(cfg_.seed);
-  model_->SetFlatParameters(meta_params_);
-  Sgd inner(model_->Parameters(), cfg_.inner_lr);
-  model_->SetTraining(true);
-  for (int64_t step = 0; step < cfg_.inner_steps_test; ++step) {
-    QueryGnnEpoch(model_.get(), task.graph, task.support, &rng, &inner);
-  }
-  model_->SetTraining(false);
-  NoGradGuard no_grad;
-  std::vector<std::vector<float>> out;
-  for (const auto& ex : task.query) {
-    out.push_back(
-        SigmoidValues(model_->Forward(task.graph, ex.query, nullptr)));
-  }
-  model_->SetFlatParameters(meta_params_);
-  return out;
+  return AdaptAndPredict(model_.get(), meta_params_, model_->Parameters(),
+                         cfg_.inner_steps_test, cfg_, task);
 }
 
 }  // namespace cgnp

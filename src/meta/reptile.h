@@ -19,6 +19,9 @@ class ReptileCs : public CsMethod {
   void MetaTrain(const std::vector<CsTask>& train_tasks) override;
   std::vector<std::vector<float>> PredictTask(const CsTask& task) override;
 
+  // The parameters every test task adapts from (set by MetaTrain).
+  const std::vector<float>& trained_parameters() const { return meta_params_; }
+
  private:
   MethodConfig cfg_;
   std::unique_ptr<QueryGnn> model_;

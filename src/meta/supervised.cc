@@ -1,6 +1,5 @@
 #include "meta/supervised.h"
 
-#include "tensor/ops.h"
 #include "tensor/optim.h"
 
 namespace cgnp {
@@ -19,13 +18,9 @@ std::vector<std::vector<float>> SupervisedCs::PredictTask(const CsTask& task) {
     QueryGnnEpoch(&model, task.graph, task.support, &rng, &opt);
   }
   model.SetTraining(false);
-  NoGradGuard no_grad;
-  std::vector<std::vector<float>> out;
-  out.reserve(task.query.size());
-  for (const auto& ex : task.query) {
-    out.push_back(SigmoidValues(model.Forward(task.graph, ex.query, nullptr)));
-  }
-  return out;
+  return PredictQueries(task.query, [&](NodeId q) {
+    return model.Forward(task.graph, q, nullptr);
+  });
 }
 
 }  // namespace cgnp

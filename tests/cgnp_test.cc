@@ -3,11 +3,13 @@
 // inference behaviour, and the properties the paper claims (permutation
 // invariance of the context, support-free decoding for new queries).
 #include <algorithm>
+#include <cstring>
 
 #include "core/cgnp.h"
 #include "data/synthetic.h"
 #include "data/tasks.h"
 #include "gtest/gtest.h"
+#include "tests/method_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -245,6 +247,57 @@ TEST(CgnpMetaTrainWithValidation, AtLeastAsGoodAsUntrained) {
       &model, split.train, split.valid, /*epochs=*/10, cfg.lr, cfg.seed);
   // Snapshot selection can never end below the initial parameters' score.
   EXPECT_GE(best, before - 1e-9);
+}
+
+// The one epoch loop and the shared predict loop against the reference
+// trainers: parameters, per-epoch losses and predictions bitwise equal.
+TEST(CgnpOracle, MetaTrainMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  const int64_t feature_dim = split.train.front().graph.feature_dim();
+  for (DecoderKind d : {DecoderKind::kInnerProduct, DecoderKind::kGnn}) {
+    CgnpConfig cfg = FastConfig();
+    cfg.decoder = d;
+    Rng lib_rng(11), ref_rng(11);
+    CgnpModel lib(cfg, feature_dim, &lib_rng), ref(cfg, feature_dim, &ref_rng);
+    std::vector<float> lib_losses, ref_losses;
+    CgnpMetaTrain(&lib, split.train, cfg.epochs, cfg.lr, cfg.seed,
+                  [&](const CgnpEpochStats& s) {
+                    lib_losses.push_back(s.mean_loss);
+                  });
+    oracle::CgnpMetaTrain(&ref, split.train, cfg.epochs, cfg.lr, cfg.seed,
+                          [&](const CgnpEpochStats& s) {
+                            ref_losses.push_back(s.mean_loss);
+                          });
+    EXPECT_TRUE(oracle::BitwiseEqual(lib.FlatParameters(), ref.FlatParameters()))
+        << DecoderKindName(d);
+    EXPECT_TRUE(oracle::BitwiseEqual(lib_losses, ref_losses));
+    EXPECT_EQ(lib_losses.size(), static_cast<size_t>(cfg.epochs));
+    for (const auto& task : split.test) {
+      EXPECT_TRUE(oracle::BitwiseEqual(CgnpMetaTest(lib, task),
+                                       oracle::CgnpMetaTest(ref, task)))
+          << DecoderKindName(d);
+    }
+  }
+}
+
+TEST(CgnpOracle, WithValidationMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  const int64_t feature_dim = split.train.front().graph.feature_dim();
+  CgnpConfig cfg = FastConfig();
+  // Patience 1 stops early; 10 runs every epoch.
+  for (int64_t patience : {1, 10}) {
+    Rng lib_rng(12), ref_rng(12);
+    CgnpModel lib(cfg, feature_dim, &lib_rng), ref(cfg, feature_dim, &ref_rng);
+    const double lib_f1 = CgnpMetaTrainWithValidation(
+        &lib, split.train, split.valid, /*epochs=*/8, cfg.lr, cfg.seed,
+        patience);
+    const double ref_f1 = oracle::CgnpMetaTrainWithValidation(
+        &ref, split.train, split.valid, /*epochs=*/8, cfg.lr, cfg.seed,
+        patience);
+    EXPECT_EQ(std::memcmp(&lib_f1, &ref_f1, sizeof(double)), 0) << patience;
+    EXPECT_TRUE(oracle::BitwiseEqual(lib.FlatParameters(), ref.FlatParameters()))
+        << patience;
+  }
 }
 
 TEST(CgnpModel, CheckpointRoundTripPredictions) {

@@ -149,8 +149,8 @@ TEST(CommunityModelAdapters, SatisfyMethodContract) {
   tc.query_set_size = 4;
   TaskSplit split = MakeSingleGraphTasks(g, TaskRegime::kSgsc, tc, 1, 0, 2, &rng);
   ASSERT_FALSE(split.test.empty());
-  KCliqueMethod kclique;
-  KEccMethod kecc;
+  ClassicalMethod kclique = ClassicalMethod::KClique();
+  ClassicalMethod kecc = ClassicalMethod::KEcc();
   for (CsMethod* m : std::vector<CsMethod*>{&kclique, &kecc}) {
     for (const auto& task : split.test) {
       const auto preds = m->PredictTask(task);

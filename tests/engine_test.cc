@@ -6,6 +6,7 @@
 
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 
 namespace cgnp {
 namespace {
@@ -102,6 +103,28 @@ TEST(Engine, ValidationEarlyStoppingPath) {
   EXPECT_TRUE(engine.trained());
   const auto members = engine.Query(g, 11).value().members;
   EXPECT_FALSE(members.empty());
+}
+
+TEST(Engine, ValidatedFitRecordsTrainingMetrics) {
+  // Fit reports per-epoch training progress whether or not validation-based
+  // selection is on.
+  auto& reg = obs::MetricsRegistry::Default();
+  obs::Counter& epochs_total = reg.GetCounter("cgnp_fit_epochs_total");
+  obs::Gauge& mean_loss = reg.GetGauge("cgnp_fit_mean_loss");
+  const uint64_t epochs_before = epochs_total.Value();
+  mean_loss.Set(-1.0);  // a mean BCE loss is never negative
+  const CommunitySearchEngine::Options opt = FastOptions();
+  auto built = EngineBuilder()
+                   .WithModel(opt.model)
+                   .WithTasks(opt.tasks)
+                   .WithTrainTasks(opt.num_train_tasks)
+                   .WithValidation(4, /*early_stop_patience=*/3)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  CommunitySearchEngine engine = std::move(built).value();
+  ASSERT_TRUE(engine.Fit(PlantedGraph(3)).ok());
+  EXPECT_GE(epochs_total.Value(), epochs_before + 1);
+  EXPECT_GE(mean_loss.Value(), 0.0);
 }
 
 TEST(Engine, SearchOnUnseenGraphSameSchema) {

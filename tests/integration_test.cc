@@ -62,9 +62,9 @@ TEST(Integration, CgnpBeatsClassicalBaselinesOnF1) {
   cgnp.MetaTrain(p.split.train);
   const EvalStats cgnp_stats = EvaluateMethod(&cgnp, p.split.test);
 
-  CtcMethod ctc;
+  ClassicalMethod ctc = ClassicalMethod::Ctc();
   const EvalStats ctc_stats = EvaluateMethod(&ctc, p.split.test);
-  AtcMethod atc;
+  ClassicalMethod atc = ClassicalMethod::Atc();
   const EvalStats atc_stats = EvaluateMethod(&atc, p.split.test);
 
   EXPECT_GT(cgnp_stats.f1, ctc_stats.f1);
@@ -74,7 +74,7 @@ TEST(Integration, CgnpBeatsClassicalBaselinesOnF1) {
 
 TEST(Integration, ClassicalSignatureHighPrecisionLowRecall) {
   Pipeline p = BuildPipeline(5);
-  CtcMethod ctc;
+  ClassicalMethod ctc = ClassicalMethod::Ctc();
   const EvalStats s = EvaluateMethod(&ctc, p.split.test);
   // The paper's Tables II/III signature for truss-based search.
   EXPECT_GT(s.precision, s.recall);
@@ -101,7 +101,7 @@ TEST(Integration, CrossDatasetTransferMgdd) {
   const EvalStats transfer = EvaluateMethod(&cgnp, split.test);
   EXPECT_GT(transfer.f1, 0.3) << "prior did not transfer across datasets";
 
-  CtcMethod ctc;
+  ClassicalMethod ctc = ClassicalMethod::Ctc();
   EXPECT_GT(transfer.f1, EvaluateMethod(&ctc, split.test).f1);
 }
 

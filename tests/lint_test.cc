@@ -113,6 +113,17 @@ TEST(Determinism, IgnoresOrderedContainersAndOtherLayers) {
   EXPECT_TRUE(other.clean());
 }
 
+TEST(Determinism, CoversTrainersAndTheCgnpModel) {
+  const std::string body = "std::unordered_set<int> seen;\n";
+  for (const std::string path :
+       {"src/meta/maml.cc", "src/core/cgnp.cc", "src/core/cgnp_encoder.h"}) {
+    const LintReport report = LintSources({{path, body}});
+    EXPECT_TRUE(HasFinding(report, "cgnp-determinism", path, 1)) << path;
+  }
+  // The rest of core (engine, cache) is not a bitwise-determinism path.
+  EXPECT_TRUE(LintSources({{"src/core/context_cache.cc", body}}).clean());
+}
+
 // --- cgnp-raw-logging -------------------------------------------------------
 
 TEST(RawLogging, FlagsStdoutInLibraryButNotToolsOrExemptFiles) {

@@ -1,5 +1,6 @@
 // Tests for the learned baselines: shape contracts, determinism, and
 // learning-signal smoke checks on small planted-community tasks.
+#include <cstring>
 #include <memory>
 
 #include "data/synthetic.h"
@@ -15,6 +16,7 @@
 #include "meta/reptile.h"
 #include "meta/supervised.h"
 #include "tensor/optim.h"
+#include "tests/method_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -230,14 +232,147 @@ TEST(AqdGnn, ContractOnTestTask) {
   CheckPredictionContract(&method, split.test.front());
 }
 
+// --- The shared episode loss, step and predict loop against the reference
+// per-method loops: parameters, gradients, losses, rng state and
+// predictions bitwise equal.
+
+TEST(MethodOracle, QueryGnnEpochMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  const CsTask& task = split.train.front();
+  const MethodConfig cfg = FastConfig();
+  Rng lib_rng(4), ref_rng(4);
+  QueryGnn lib(cfg, task.graph.feature_dim(), &lib_rng);
+  QueryGnn ref(cfg, task.graph.feature_dim(), &ref_rng);
+  Adam lib_opt(lib.Parameters(), cfg.lr), ref_opt(ref.Parameters(), cfg.lr);
+  std::vector<float> lib_losses, ref_losses;
+  for (int step = 0; step < 5; ++step) {
+    lib_losses.push_back(
+        QueryGnnEpoch(&lib, task.graph, task.support, &lib_rng, &lib_opt));
+    ref_losses.push_back(oracle::QueryGnnEpoch(&ref, task.graph, task.support,
+                                               &ref_rng, &ref_opt));
+  }
+  EXPECT_TRUE(oracle::BitwiseEqual(lib_losses, ref_losses));
+  EXPECT_TRUE(oracle::BitwiseEqual(lib.FlatParameters(), ref.FlatParameters()));
+  EXPECT_EQ(lib_rng.NextU64(), ref_rng.NextU64());
+}
+
+// MAML's inner steps (QueryGnnEpoch with the inner Sgd) and outer gradient
+// (EpisodeLoss at the adapted parameters) against the reference
+// BackwardLoss helper.
+TEST(MethodOracle, MamlStepsMatchBackwardLoss) {
+  const TaskSplit split = SmallSplit();
+  const CsTask& task = split.train.front();
+  const MethodConfig cfg = FastConfig();
+  Rng lib_rng(6), ref_rng(6);
+  QueryGnn lib(cfg, task.graph.feature_dim(), &lib_rng);
+  QueryGnn ref(cfg, task.graph.feature_dim(), &ref_rng);
+  Sgd lib_inner(lib.Parameters(), cfg.inner_lr);
+  Sgd ref_inner(ref.Parameters(), cfg.inner_lr);
+  for (int step = 0; step < 3; ++step) {
+    QueryGnnEpoch(&lib, task.graph, task.support, &lib_rng, &lib_inner);
+    oracle::BackwardLoss(&ref, task.graph, task.support, &ref_rng);
+    ref_inner.Step();
+    ref.ZeroGrad();
+  }
+  lib.ZeroGrad();
+  Tensor lib_loss = EpisodeLoss(task.query, task.graph.num_nodes(),
+                                [&](NodeId q) {
+                                  return lib.Forward(task.graph, q, &lib_rng);
+                                });
+  const float lib_value = lib_loss.Item();
+  lib_loss.Backward();
+  const float ref_value =
+      oracle::BackwardLoss(&ref, task.graph, task.query, &ref_rng);
+  EXPECT_EQ(std::memcmp(&lib_value, &ref_value, sizeof(float)), 0);
+  EXPECT_TRUE(oracle::BitwiseEqual(lib.FlatParameters(), ref.FlatParameters()));
+  EXPECT_TRUE(
+      oracle::BitwiseEqual(oracle::FlatGrads(lib), oracle::FlatGrads(ref)));
+  EXPECT_EQ(lib_rng.NextU64(), ref_rng.NextU64());
+}
+
+// `method` was trained to `params`, the reference to `ref_params`; each test
+// task in turn must predict alike, so every task after the first also
+// checks that the previous task's adaptation was undone.
+template <typename RefPredict>
+void ExpectMatchesReference(CsMethod* method, const std::vector<float>& params,
+                            const std::vector<float>& ref_params,
+                            const std::vector<CsTask>& tasks,
+                            RefPredict ref_predict) {
+  EXPECT_TRUE(oracle::BitwiseEqual(params, ref_params)) << method->name();
+  for (const auto& task : tasks) {
+    EXPECT_TRUE(
+        oracle::BitwiseEqual(method->PredictTask(task), ref_predict(task)))
+        << method->name();
+  }
+}
+
+TEST(MethodOracle, MamlMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  MethodConfig cfg = FastConfig();
+  cfg.meta_epochs = 2;
+  MamlCs method(cfg);
+  method.MetaTrain(split.train);
+  std::unique_ptr<QueryGnn> ref;
+  const auto ref_params = oracle::MamlMetaTrain(cfg, split.train, &ref);
+  ExpectMatchesReference(&method, method.trained_parameters(), ref_params,
+                         split.test, [&](const CsTask& task) {
+                           return oracle::MamlPredictTask(cfg, ref.get(),
+                                                          ref_params, task);
+                         });
+}
+
+TEST(MethodOracle, ReptileMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  MethodConfig cfg = FastConfig();
+  cfg.meta_epochs = 2;
+  ReptileCs method(cfg);
+  method.MetaTrain(split.train);
+  std::unique_ptr<QueryGnn> ref;
+  const auto ref_params = oracle::ReptileMetaTrain(cfg, split.train, &ref);
+  ExpectMatchesReference(&method, method.trained_parameters(), ref_params,
+                         split.test, [&](const CsTask& task) {
+                           return oracle::ReptilePredictTask(cfg, ref.get(),
+                                                             ref_params, task);
+                         });
+}
+
+TEST(MethodOracle, FeatTransMatchesReference) {
+  const TaskSplit split = SmallSplit();
+  const MethodConfig cfg = FastConfig();
+  FeatTransCs method(cfg);
+  method.MetaTrain(split.train);
+  std::unique_ptr<QueryGnn> ref;
+  const auto ref_params = oracle::FeatTransMetaTrain(cfg, split.train, &ref);
+  ExpectMatchesReference(&method, method.trained_parameters(), ref_params,
+                         split.test, [&](const CsTask& task) {
+                           return oracle::FeatTransPredictTask(
+                               cfg, ref.get(), ref_params, task);
+                         });
+}
+
+TEST(MethodOracle, PerTaskTrainersMatchReference) {
+  const TaskSplit split = SmallSplit();
+  MethodConfig cfg = FastConfig();
+  cfg.per_task_epochs = 10;
+  SupervisedCs supervised(cfg);
+  ExpectMatchesReference(&supervised, {}, {}, split.test,
+                         [&](const CsTask& task) {
+                           return oracle::SupervisedPredictTask(cfg, task);
+                         });
+  AqdGnnCs aqd(cfg);
+  ExpectMatchesReference(&aqd, {}, {}, split.test, [&](const CsTask& task) {
+    return oracle::AqdGnnPredictTask(cfg, task);
+  });
+}
+
 TEST(Classical, AllAdaptersSatisfyContract) {
   const TaskSplit split = SmallSplit();
-  AtcMethod atc;
-  AcqMethod acq;
-  CtcMethod ctc;
-  KCoreMethod kcore;
-  KTrussMethod ktruss;
-  EXPECT_TRUE(AcqMethod::Supports(split.test.front()));
+  ClassicalMethod atc = ClassicalMethod::Atc();
+  ClassicalMethod acq = ClassicalMethod::Acq();
+  ClassicalMethod ctc = ClassicalMethod::Ctc();
+  ClassicalMethod kcore = ClassicalMethod::KCore();
+  ClassicalMethod ktruss = ClassicalMethod::KTruss();
+  EXPECT_TRUE(split.test.front().graph.has_attributes());  // ACQ needs them
   for (CsMethod* m :
        std::vector<CsMethod*>{&atc, &acq, &ctc, &kcore, &ktruss}) {
     m->MetaTrain(split.train);
@@ -247,7 +382,7 @@ TEST(Classical, AllAdaptersSatisfyContract) {
 
 TEST(EvaluateMethod, AveragesAcrossTasksAndQueries) {
   const TaskSplit split = SmallSplit();
-  KTrussMethod method;
+  ClassicalMethod method = ClassicalMethod::KTruss();
   const EvalStats s = EvaluateMethod(&method, split.test);
   EXPECT_GE(s.f1, 0.0);
   EXPECT_LE(s.f1, 1.0);
