@@ -40,13 +40,17 @@ std::vector<NodeId> AttributedTrussCommunity(const Graph& g, NodeId q,
   NodeId local_q = new_of_old[q];
 
   // Step 2: maximal connected k-truss containing q inside the ball.
+  // With k < 0, one decomposition of the ball serves both the k and the
+  // k-truss.
   int64_t k = config.k;
+  std::vector<NodeId> local;
   if (k < 0) {
-    const EdgeList el = BuildEdgeList(sub);
-    const std::vector<int64_t> truss = TrussNumbers(sub, el);
-    k = MaxTrussOf(sub, local_q, el, truss);
+    const TrussDecomposition trusses = ComputeTrussDecomposition(sub);
+    k = MaxTrussOf(sub, local_q, trusses);
+    local = ConnectedKTrussContaining(sub, local_q, k, trusses);
+  } else {
+    local = ConnectedKTrussContaining(sub, local_q, k);
   }
-  std::vector<NodeId> local = ConnectedKTrussContaining(sub, local_q, k);
   if (local.size() <= 1) return {q};
   std::vector<NodeId> global(local.size());
   for (size_t i = 0; i < local.size(); ++i) global[i] = ball[local[i]];

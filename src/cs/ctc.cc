@@ -27,18 +27,14 @@ std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
   Graph sub = InducedSubgraph(g, global, &new_of_old);
   NodeId local_q = new_of_old[q];
 
+  // Query distances in the working subgraph and their maximum, computed
+  // once per working subgraph.
+  std::vector<int64_t> dist = BfsDistances(sub, local_q);
+  int64_t ecc = *std::max_element(dist.begin(), dist.end());
   std::vector<NodeId> best = global;
-  int64_t best_ecc = -1;
-  {
-    const auto dist = BfsDistances(sub, local_q);
-    for (NodeId v = 0; v < sub.num_nodes(); ++v)
-      best_ecc = std::max(best_ecc, dist[v]);
-  }
+  int64_t best_ecc = ecc;
 
   for (int64_t iter = 0; iter < config.max_peel_iters; ++iter) {
-    const auto dist = BfsDistances(sub, local_q);
-    int64_t ecc = 0;
-    for (NodeId v = 0; v < sub.num_nodes(); ++v) ecc = std::max(ecc, dist[v]);
     if (ecc <= 1) break;  // cannot shrink below the query's neighborhood
     // Bulk-delete every node at maximum distance, then restore the k-truss.
     std::vector<NodeId> keep;
@@ -61,12 +57,10 @@ std::vector<NodeId> ClosestTrussCommunity(const Graph& g, NodeId q,
     sub = InducedSubgraph(g, global, &new_of_old);
     local_q = new_of_old[q];
     // Evaluate the new candidate.
-    const auto d2 = BfsDistances(sub, local_q);
-    int64_t ecc2 = 0;
-    for (NodeId v = 0; v < sub.num_nodes(); ++v) ecc2 = std::max(ecc2, d2[v]);
-    if (ecc2 < best_ecc ||
-        (ecc2 == best_ecc && global.size() < best.size())) {
-      best_ecc = ecc2;
+    dist = BfsDistances(sub, local_q);
+    ecc = *std::max_element(dist.begin(), dist.end());
+    if (ecc < best_ecc || (ecc == best_ecc && global.size() < best.size())) {
+      best_ecc = ecc;
       best = global;
     }
   }

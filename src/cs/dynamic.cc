@@ -8,7 +8,6 @@
 #include "graph/algorithms.h"
 #include "graph/decomposition.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace cgnp {
 
@@ -467,6 +466,21 @@ void IncrementalTrussIndex::OnInsert(const SortedAdjacency& adj, NodeId u,
 
 // --- DynamicCommunityIndex --------------------------------------------------
 
+namespace {
+
+// The index's sorted rows and maintained truss numbers as a row source for
+// the community routines of graph/algorithms.h.
+struct IndexRows {
+  const SortedAdjacency& adj;
+  const IncrementalTrussIndex& truss;
+
+  int64_t num_nodes() const { return static_cast<int64_t>(adj.size()); }
+  const std::vector<NodeId>& Neighbors(NodeId v) const { return adj[v]; }
+  const std::vector<int32_t>& Trusses(NodeId v) const { return truss.row(v); }
+};
+
+}  // namespace
+
 StatusOr<std::shared_ptr<DynamicCommunityIndex>> DynamicCommunityIndex::Create(
     std::shared_ptr<const Graph> base) {
   if (base == nullptr) {
@@ -538,73 +552,15 @@ StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KCoreCommunity(
     NodeId q, int64_t k) const {
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
-  const std::vector<int64_t>& core = core_.core();
-  const SortedAdjacency& adj = delta_.adjacency();
-  // Same contract as the batch KCoreCommunity: k = -1 means the maximal
-  // feasible k for q (its core number), k = 0 is trivially {q}.
-  if (k < 0) k = core[q];
-  if (k == 0) return std::vector<NodeId>{q};
-  if (core[q] < k) return std::vector<NodeId>{};
-  // Connected k-core containing q, members in ascending id order --
-  // exactly what ConnectedKCoreContaining produces.
-  const int64_t n = static_cast<int64_t>(adj.size());
-  std::vector<char> seen(n, 0);
-  std::vector<NodeId> stack{q};
-  seen[q] = 1;
-  while (!stack.empty()) {
-    const NodeId w = stack.back();
-    stack.pop_back();
-    for (const NodeId x : adj[w]) {
-      if (core[x] >= k && !seen[x]) {
-        seen[x] = 1;
-        stack.push_back(x);
-      }
-    }
-  }
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < n; ++v) {
-    if (seen[v]) out.push_back(v);
-  }
-  return out;
+  return KCoreCommunityIn(IndexRows{delta_.adjacency(), truss_}, core_.core(),
+                          q, k);
 }
 
 StatusOr<std::vector<NodeId>> DynamicCommunityIndex::KTrussCommunity(
     NodeId q, int64_t k) const {
   std::shared_lock lock(mu_);
   CGNP_RETURN_IF_ERROR(ValidateQuery(q));
-  const SortedAdjacency& adj = delta_.adjacency();
-  if (k < 0) {
-    // Max feasible k for q: the strongest truss among q's incident edges
-    // (2 when q has edges but no triangles, 1 when isolated) -- the
-    // MaxTrussOf contract.
-    int64_t best = adj[q].empty() ? 1 : 2;
-    for (const int32_t t : truss_.row(q)) best = std::max<int64_t>(best, t);
-    k = best;
-  }
-  if (k <= 2 && adj[q].empty()) return std::vector<NodeId>{q};
-  // BFS from q over edges with truss >= k, members in BFS discovery order
-  // -- byte-for-byte the ConnectedKTrussContaining traversal (sorted
-  // adjacency gives the same push order as the CSR).
-  const int64_t n = static_cast<int64_t>(adj.size());
-  std::vector<char> seen(n, 0);
-  std::vector<NodeId> out{q};  // doubles as the BFS queue
-  seen[q] = 1;
-  bool q_has_edge = false;
-  for (size_t head = 0; head < out.size(); ++head) {
-    const NodeId w = out[head];
-    const std::vector<int32_t>& truss = truss_.row(w);
-    for (size_t i = 0; i < adj[w].size(); ++i) {
-      if (truss[i] < k) continue;
-      const NodeId x = adj[w][i];
-      if (w == q) q_has_edge = true;
-      if (!seen[x]) {
-        seen[x] = 1;
-        out.push_back(x);
-      }
-    }
-  }
-  if (!q_has_edge && k > 2) return std::vector<NodeId>{};
-  return out;
+  return KTrussCommunityIn(IndexRows{delta_.adjacency(), truss_}, q, k);
 }
 
 std::vector<int64_t> DynamicCommunityIndex::CurrentCoreNumbers() const {
@@ -645,82 +601,6 @@ int64_t DynamicCommunityIndex::num_edges() const {
 GraphDelta::Rebased DynamicCommunityIndex::Compact() {
   std::unique_lock lock(mu_);
   return delta_.Rebase();
-}
-
-// --- Registry adapters ------------------------------------------------------
-
-namespace {
-
-// Adapter answering from a shared DynamicCommunityIndex at its current
-// version. The Graph argument of Search only names the logical graph the
-// caller believes it is querying; structure comes from the index (which
-// may be ahead of any compacted snapshot the caller holds).
-class IncrementalSearcher : public CommunitySearcher {
- public:
-  IncrementalSearcher(std::string name,
-                      std::shared_ptr<DynamicCommunityIndex> index,
-                      bool truss, int64_t k)
-      : name_(std::move(name)),
-        index_(std::move(index)),
-        truss_(truss),
-        k_(k),
-        search_ms_(&obs::MetricsRegistry::Default().GetHistogram(
-            "cgnp_backend_search_ms", {{"backend", name_}})) {}
-
-  const std::string& name() const override { return name_; }
-
-  StatusOr<QueryResult> Search(const Graph& g, NodeId query,
-                               const std::vector<QueryExample>& labelled,
-                               const QueryOptions& options) const override {
-    CGNP_TRACE_SPAN("search");
-    (void)g;
-    (void)labelled;  // crisp structural membership, no supervision
-    (void)options;
-    QueryResult result;
-    result.backend = name_;
-    const auto start = std::chrono::steady_clock::now();
-    CGNP_ASSIGN_OR_RETURN(result.members,
-                          truss_ ? index_->KTrussCommunity(query, k_)
-                                 : index_->KCoreCommunity(query, k_));
-    const auto end = std::chrono::steady_clock::now();
-    result.elapsed_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    search_ms_->Record(result.elapsed_ms);
-    return result;
-  }
-
- private:
-  const std::string name_;
-  const std::shared_ptr<DynamicCommunityIndex> index_;
-  const bool truss_;
-  const int64_t k_;
-  obs::Histogram* const search_ms_;
-};
-
-StatusOr<std::unique_ptr<CommunitySearcher>> MakeIncremental(
-    const std::string& name, const SearcherConfig& cfg, bool truss) {
-  if (cfg.dynamic_index == nullptr) {
-    return InvalidArgumentError(
-        "the \"" + name +
-        "\" backend needs SearcherConfig::dynamic_index (a "
-        "DynamicCommunityIndex over the served graph)");
-  }
-  return std::unique_ptr<CommunitySearcher>(
-      new IncrementalSearcher(name, cfg.dynamic_index, truss, cfg.k));
-}
-
-}  // namespace
-
-SearcherFactory MakeIncrementalCoreSearcherFactory() {
-  return [](const SearcherConfig& cfg) {
-    return MakeIncremental("kcore_inc", cfg, /*truss=*/false);
-  };
-}
-
-SearcherFactory MakeIncrementalTrussSearcherFactory() {
-  return [](const SearcherConfig& cfg) {
-    return MakeIncremental("ktruss_inc", cfg, /*truss=*/true);
-  };
 }
 
 }  // namespace cgnp

@@ -41,12 +41,15 @@
 // allocates nothing.
 //
 // DynamicCommunityIndex bundles a GraphDelta, whose sorted rows both
-// indices and both community BFSes read, and both indices behind one
-// internally-locked facade (queries take a shared lock, edits an exclusive
-// one). It answers the same community questions as the batch
-// KCoreCommunity / KTrussCommunity -- including output order -- at the
-// delta's current version, and reaches the registry as the "kcore_inc" /
-// "ktruss_inc" backends via SearcherConfig::dynamic_index.
+// indices read, and both indices behind one internally-locked facade
+// (queries take a shared lock, edits an exclusive one). Its community
+// queries run the connected k-core / k-truss routines of
+// graph/algorithms.h -- the ones the batch KCoreCommunity /
+// KTrussCommunity run on a CSR graph -- over the delta's rows and the
+// maintained numbers, so with numbers equal to batch the answers match the
+// batch ones, output order included, by construction. The index reaches
+// the registry as the "kcore_inc" / "ktruss_inc" backends via
+// SearcherConfig::dynamic_index (cs/searcher.h).
 #ifndef CGNP_CS_DYNAMIC_H_
 #define CGNP_CS_DYNAMIC_H_
 
@@ -57,7 +60,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "cs/searcher.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
@@ -164,7 +166,8 @@ class IncrementalTrussIndex {
 // Delta + both incremental indices behind one internally-locked
 // facade: edits lock exclusively, queries share. Community answers are
 // identical -- members and order -- to the batch KCoreCommunity /
-// KTrussCommunity run on a compacted snapshot of the same version.
+// KTrussCommunity run on a compacted snapshot of the same version: both
+// run the same routine (graph/algorithms.h) over equal rows and numbers.
 class DynamicCommunityIndex {
  public:
   // `base` must be non-null; InvalidArgument otherwise. The core index
@@ -226,14 +229,6 @@ class DynamicCommunityIndex {
   obs::Histogram* const core_repair_ms_;
   obs::Histogram* const truss_repair_ms_;
 };
-
-// Factories behind the "kcore_inc" / "ktruss_inc" registry names
-// (registered among the built-ins in cs/searcher.cc). Both require
-// SearcherConfig::dynamic_index and answer from it at its current
-// version; the Graph argument of Search is ignored structurally and only
-// documents which logical graph the caller believes it is querying.
-SearcherFactory MakeIncrementalCoreSearcherFactory();
-SearcherFactory MakeIncrementalTrussSearcherFactory();
 
 }  // namespace cgnp
 

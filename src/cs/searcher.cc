@@ -46,17 +46,20 @@ Status ValidateQueryInput(const Graph& g, NodeId query,
 
 namespace {
 
-// Adapter over one classical algorithm: validates input, times the call,
-// and returns exactly the node set the direct src/cs/ call returns (the
-// acceptance contract for the registry). Classical membership is crisp, so
-// `probs` stays empty; `labelled` is ignored (these algorithms cannot
-// condition on supervision). The kcore / ktruss / kecc / ctc adapters
-// read the structural decomposition cached on the queried graph
-// (Graph::Cores / Trusses), so only the first query on a graph pays for
-// peeling it.
+// The one adapter over every classical algorithm: validates input against
+// the Graph handed to Search, times the call, and returns exactly the node
+// set the algorithm returns (the acceptance contract for the registry).
+// Classical membership is crisp, so `probs` stays empty; `labelled` is
+// only validated (these algorithms cannot condition on supervision). The
+// kcore / ktruss / kecc / ctc algorithms read the structural decomposition
+// cached on the queried graph (Graph::Cores / Trusses), so only the first
+// query on a graph pays for peeling it; kcore_inc / ktruss_inc answer from
+// a DynamicCommunityIndex at its current version and may fail with its
+// Status.
 class ClassicalSearcher : public CommunitySearcher {
  public:
-  using Algorithm = std::function<std::vector<NodeId>(const Graph&, NodeId)>;
+  using Algorithm =
+      std::function<StatusOr<std::vector<NodeId>>(const Graph&, NodeId)>;
 
   ClassicalSearcher(std::string name, Algorithm algorithm)
       : name_(std::move(name)),
@@ -76,7 +79,7 @@ class ClassicalSearcher : public CommunitySearcher {
     QueryResult result;
     result.backend = name_;
     const auto start = std::chrono::steady_clock::now();
-    result.members = algorithm_(g, query);
+    CGNP_ASSIGN_OR_RETURN(result.members, algorithm_(g, query));
     const auto end = std::chrono::steady_clock::now();
     result.elapsed_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -101,6 +104,26 @@ StatusOr<std::unique_ptr<CommunitySearcher>> MakeClassical(
     std::string name, ClassicalSearcher::Algorithm algorithm) {
   return std::unique_ptr<CommunitySearcher>(
       new ClassicalSearcher(std::move(name), std::move(algorithm)));
+}
+
+// "kcore_inc" / "ktruss_inc": `query` (DynamicCommunityIndex::
+// KCoreCommunity or KTrussCommunity) on SearcherConfig::dynamic_index.
+using IndexQuery = StatusOr<std::vector<NodeId>> (DynamicCommunityIndex::*)(
+    NodeId, int64_t) const;
+SearcherFactory IncrementalFactory(std::string name, IndexQuery query) {
+  return [name = std::move(name), query](const SearcherConfig& cfg)
+             -> StatusOr<std::unique_ptr<CommunitySearcher>> {
+    if (cfg.dynamic_index == nullptr) {
+      return InvalidArgumentError(
+          "the \"" + name +
+          "\" backend needs SearcherConfig::dynamic_index (a "
+          "DynamicCommunityIndex over the served graph)");
+    }
+    return MakeClassical(name, [index = cfg.dynamic_index, query, k = cfg.k](
+                                   const Graph&, NodeId q) {
+      return ((*index).*query)(q, k);
+    });
+  };
 }
 
 // Explicit registration of the built-ins (static self-registration is
@@ -170,8 +193,10 @@ void RegisterBuiltins(Registry* registry) {
   });
   // Incremental backends answering from a shared DynamicCommunityIndex
   // (cs/dynamic.h) at its current version.
-  add("kcore_inc", MakeIncrementalCoreSearcherFactory());
-  add("ktruss_inc", MakeIncrementalTrussSearcherFactory());
+  add("kcore_inc", IncrementalFactory("kcore_inc",
+                                      &DynamicCommunityIndex::KCoreCommunity));
+  add("ktruss_inc", IncrementalFactory("ktruss_inc",
+                                       &DynamicCommunityIndex::KTrussCommunity));
   // The learned backend lives in core/, above this layer; it contributes
   // its factory through the forward-declared hook.
   add("cgnp", MakeCgnpSearcherFactory());

@@ -12,13 +12,13 @@
 //   auto result = (*searcher)->Search(g, q, /*labelled=*/{}, {});
 //
 // Built-in names: "kcore", "ktruss", "kclique", "kecc", "acq", "atc",
-// "ctc" (thin adapters over src/cs/, returning node sets identical to the
-// direct calls), "cgnp" (the learned engine, restored from
-// SearcherConfig::checkpoint; see core/cgnp_searcher.h to wrap an
-// in-memory engine instead), and "kcore_inc" / "ktruss_inc" (incremental
-// maintenance over a DynamicCommunityIndex, answering at the index's
-// current version; require SearcherConfig::dynamic_index -- see
-// cs/dynamic.h). New backends register through RegisterSearcherFactory.
+// "ctc", "kcore_inc" and "ktruss_inc" -- one classical adapter each over
+// src/cs/, returning node sets identical to the direct calls; the last two
+// answer from SearcherConfig::dynamic_index (a DynamicCommunityIndex, see
+// cs/dynamic.h) at its current version -- and "cgnp" (the learned engine,
+// restored from SearcherConfig::checkpoint; see core/cgnp_searcher.h to
+// wrap an in-memory engine instead). New backends register through
+// RegisterSearcherFactory.
 //
 // Error model: Search never aborts on bad input -- an empty graph or an
 // out-of-range query id returns a non-OK Status; MakeSearcher returns
@@ -113,7 +113,10 @@ struct SearcherConfig {
   // "kcore_inc" / "ktruss_inc": the incremental index those backends
   // answer from, at its current version (required by them, InvalidArgument
   // when absent; ignored by every other backend). Shared: many searchers
-  // may point at one index while edits keep flowing into it.
+  // may point at one index while edits keep flowing into it. Their Search
+  // validates the request against the Graph it is handed, like every
+  // backend, so that Graph must have the index's node count (a snapshot
+  // of the index, as DynamicGraphServer passes).
   std::shared_ptr<DynamicCommunityIndex> dynamic_index;
 };
 

@@ -294,71 +294,30 @@ std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q, int64_t k
 std::vector<NodeId> ConnectedKCoreContaining(const Graph& g, NodeId q,
                                              int64_t k,
                                              const CoreDecomposition& cores) {
-  const std::vector<int32_t>& core = cores.core;
-  if (core[q] < k) return {};
-  // BFS over nodes of core >= k, then members in ascending id order.
-  const int64_t n = g.num_nodes();
-  std::vector<char> seen(n, 0);
-  std::vector<NodeId> stack = {q};
-  seen[q] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (NodeId u : g.Neighbors(v)) {
-      if (!seen[u] && core[u] >= k) {
-        seen[u] = 1;
-        stack.push_back(u);
-      }
-    }
-  }
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < n; ++v) {
-    if (seen[v]) out.push_back(v);
-  }
-  return out;
+  return ConnectedKCoreIn(g, cores.core, q, k);
 }
 
 namespace {
 
-// BFS from q over the CSR slots `keep(p)` accepts: the connected k-truss
-// containing q when `keep` selects the slots of truss >= k.
-template <typename KeepSlot>
-std::vector<NodeId> KTrussBfs(const Graph& g, NodeId q, int64_t k,
-                              KeepSlot keep) {
-  const auto row_ptr = g.row_ptr();
-  const auto col_idx = g.col_idx();
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> out{q};  // doubles as the BFS queue
-  seen[q] = 1;
-  bool q_has_edge = false;
-  for (size_t head = 0; head < out.size(); ++head) {
-    const NodeId v = out[head];
-    for (int64_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
-      if (!keep(p)) continue;
-      if (v == q) q_has_edge = true;
-      const NodeId u = col_idx[p];
-      if (!seen[u]) {
-        seen[u] = 1;
-        out.push_back(u);
-      }
-    }
-  }
-  if (!q_has_edge && k > 2) return {};
-  return out;
-}
+// The CSR rows with every edge at truss number 2: exact for k <= 2, where
+// every edge is in the k-truss and nothing needs peeling.
+struct TwoTrussRows : CsrTrussRows {
+  struct AllTwo {
+    int32_t operator[](size_t) const { return 2; }
+  };
+  AllTwo Trusses(NodeId) const { return {}; }
+};
 
 }  // namespace
 
 std::vector<NodeId> ConnectedKTrussContaining(const Graph& g, NodeId q, int64_t k) {
-  // Every edge is in the 2-truss: below k = 3 there is nothing to peel.
-  if (k <= 2) return KTrussBfs(g, q, k, [](int64_t) { return true; });
+  if (k <= 2) return ConnectedKTrussIn(TwoTrussRows{{g, nullptr}}, q, k);
   return ConnectedKTrussContaining(g, q, k, ComputeTrussDecomposition(g));
 }
 
 std::vector<NodeId> ConnectedKTrussContaining(
     const Graph& g, NodeId q, int64_t k, const TrussDecomposition& trusses) {
-  const std::vector<int32_t>& truss = trusses.truss;
-  return KTrussBfs(g, q, k, [&truss, k](int64_t p) { return truss[p] >= k; });
+  return ConnectedKTrussIn(CsrTrussRows{g, trusses.truss.data()}, q, k);
 }
 
 int64_t MaxCoreOf(const Graph& g, NodeId q) {
@@ -377,11 +336,7 @@ int64_t MaxTrussOf(const Graph& g, NodeId q, const EdgeList& el,
 
 int64_t MaxTrussOf(const Graph& g, NodeId q,
                    const TrussDecomposition& trusses) {
-  int64_t best = g.Degree(q) > 0 ? 2 : 1;
-  for (int64_t p = g.row_ptr()[q]; p < g.row_ptr()[q + 1]; ++p) {
-    best = std::max<int64_t>(best, trusses.truss[p]);
-  }
-  return best;
+  return MaxTrussIn(CsrTrussRows{g, trusses.truss.data()}, q);
 }
 
 }  // namespace cgnp

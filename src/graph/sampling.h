@@ -18,12 +18,6 @@ namespace cgnp {
 std::vector<NodeId> BfsSample(const Graph& g, NodeId seed, int64_t max_nodes,
                               Rng* rng);
 
-// BFS sample that keeps expanding from random restart nodes until
-// `max_nodes` is reached or the whole graph is exhausted (useful on graphs
-// with small components, e.g. ego networks).
-std::vector<NodeId> BfsSampleWithRestarts(const Graph& g, NodeId seed,
-                                          int64_t max_nodes, Rng* rng);
-
 }  // namespace cgnp
 
 #endif  // CGNP_GRAPH_SAMPLING_H_

@@ -89,6 +89,8 @@ struct LintConfig {
       // The delta mutation API is an external-input surface (edit lists
       // arrive from user files via graph_convert apply-edits).
       "src/graph/delta.h", "src/graph/delta.cc",
+      // The connected-community routines every classical backend runs.
+      "src/graph/algorithms.h",
   };
   // cgnp-determinism applies here: the kernels, and the trainers and
   // models whose parameters and predictions are pinned bitwise.

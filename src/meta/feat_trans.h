@@ -20,6 +20,8 @@ class FeatTransCs : public CsMethod {
 
   // The parameters every test task adapts from (set by MetaTrain).
   const std::vector<float>& trained_parameters() const { return pretrained_; }
+  // The network PredictTask fine-tunes; null before MetaTrain.
+  const QueryGnn* model() const { return model_.get(); }
 
  private:
   MethodConfig cfg_;

@@ -113,6 +113,8 @@ std::vector<std::vector<float>> AdaptAndPredict(
   for (int64_t step = 0; step < steps; ++step) {
     QueryGnnEpoch(model, task.graph, task.support, &rng, &opt);
   }
+  // `opt` clears the gradients of `params` only.
+  model->ZeroGrad();
   model->SetTraining(false);
   auto out = PredictQueries(task.query, [&](NodeId q) {
     return model->Forward(task.graph, q, nullptr);

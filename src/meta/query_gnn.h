@@ -68,7 +68,9 @@ float QueryGnnEpoch(QueryGnn* model, const Graph& g,
 // into `model`, takes `steps` QueryGnnEpoch steps of plain SGD
 // (cfg.inner_lr, rng seeded with cfg.seed) on task.support over `params`
 // (tensors of `model`), predicts every query of the task and loads `start`
-// again, so no adaptation outlives the call.
+// again, so no adaptation outlives the call. Every gradient of `model` is
+// zero on return: the steps backpropagate through the whole model, not
+// only through `params`.
 std::vector<std::vector<float>> AdaptAndPredict(
     QueryGnn* model, const std::vector<float>& start,
     std::vector<Tensor> params, int64_t steps, const MethodConfig& cfg,

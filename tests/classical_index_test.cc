@@ -6,6 +6,8 @@
 //     batch community functions answer -- members and order -- for every
 //     node and a spread of k, on graphs with and without triangles,
 //     isolated nodes, and a mapped backing;
+//   * CTC and ATC answer what their reference bodies
+//     (tests/classical_oracles.h) answer, members and order;
 //   * concurrent first use builds each part once and every thread sees
 //     the same answers;
 //   * graph copies share a built decomposition, assignment and
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "cs/atc.h"
 #include "cs/ctc.h"
 #include "cs/kcore_community.h"
 #include "cs/kecc_community.h"
@@ -33,6 +36,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "tensor/rng.h"
+#include "tests/classical_oracles.h"
 #include "tests/test_util.h"
 
 namespace cgnp {
@@ -265,6 +269,33 @@ TEST(ClassicalIndex, AdaptersEqualBatchFunctionsForEveryNodeAndK) {
           ASSERT_EQ(Served(*searcher, g, q), Batch(backend, g, q, k))
               << f.name << " " << backend << " q=" << q << " k=" << k;
         }
+      }
+    }
+  }
+}
+
+TEST(ClassicalIndex, CtcAndAtcMatchTheirOracles) {
+  for (const Fixture& f : Fixtures()) {
+    const Graph& g = f.graph;
+    const TrussDecomposition fresh = ComputeTrussDecomposition(g);
+    for (const int64_t k :
+         {int64_t{-1}, int64_t{2}, int64_t{3}, MaxDegree(g) + 2}) {
+      CtcConfig ctc;
+      ctc.k = k;
+      AtcConfig atc;
+      atc.k = k;
+      for (NodeId q = 0; q < g.num_nodes(); ++q) {
+        const std::string where =
+            f.name + " q=" + std::to_string(q) + " k=" + std::to_string(k);
+        ASSERT_EQ(ClosestTrussCommunity(g, q, ctc),
+                  oracle::ClosestTrussCommunity(g, q, ctc, fresh))
+            << where;
+        ASSERT_EQ(ClosestTrussCommunity(g, q, ctc, g.Trusses()),
+                  oracle::ClosestTrussCommunity(g, q, ctc, g.Trusses()))
+            << where;
+        ASSERT_EQ(AttributedTrussCommunity(g, q, atc),
+                  oracle::AttributedTrussCommunity(g, q, atc))
+            << where;
       }
     }
   }

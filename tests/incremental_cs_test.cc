@@ -14,12 +14,14 @@
 
 #include "cs/kcore_community.h"
 #include "cs/ktruss_community.h"
+#include "cs/searcher.h"
 #include "data/synthetic.h"
 #include "graph/algorithms.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "tensor/rng.h"
+#include "tests/classical_oracles.h"
 #include "tests/test_util.h"
 
 // Global operator new, counting calls while g_count_news is set: the
@@ -46,10 +48,41 @@ std::shared_ptr<const Graph> Share(Graph g) {
   return std::make_shared<const Graph>(std::move(g));
 }
 
+// The index's community answers against the reference bodies of
+// tests/classical_oracles.h, fed the snapshot's rows and the index's
+// current core and truss numbers: members and order, for every node as
+// query and a spread of k.
+void ExpectIndexMatchesOracle(const DynamicCommunityIndex& index,
+                              const Graph& snapshot,
+                              const std::string& context) {
+  const int64_t n = snapshot.num_nodes();
+  SortedAdjacency adj(static_cast<size_t>(n));
+  std::vector<std::vector<int32_t>> truss(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : snapshot.Neighbors(v)) {
+      adj[v].push_back(u);
+      truss[v].push_back(static_cast<int32_t>(index.CurrentTrussOf(v, u)));
+    }
+  }
+  const std::vector<int64_t> core = index.CurrentCoreNumbers();
+  for (const int64_t k : {-1, 0, 1, 2, 3, 4}) {
+    for (NodeId q = 0; q < n; ++q) {
+      const auto inc_core = index.KCoreCommunity(q, k);
+      ASSERT_TRUE(inc_core.ok()) << context << ": " << inc_core.status();
+      ASSERT_EQ(*inc_core, oracle::IndexKCoreCommunity(adj, core, q, k))
+          << context << " kcore query " << q << " k=" << k;
+      const auto inc_truss = index.KTrussCommunity(q, k);
+      ASSERT_TRUE(inc_truss.ok()) << context << ": " << inc_truss.status();
+      ASSERT_EQ(*inc_truss, oracle::IndexKTrussCommunity(adj, truss, q, k))
+          << context << " ktruss query " << q << " k=" << k;
+    }
+  }
+}
+
 // Cross-checks every maintained quantity against the batch algorithms run
 // on an equivalent from-scratch snapshot: core numbers per node, truss
 // numbers per edge, and the community answers (members AND order) for
-// every node as query at the default k.
+// every node as query at the default k; then against the oracle.
 void ExpectIndexMatchesSnapshot(const DynamicCommunityIndex& index,
                                 const Graph& snapshot,
                                 const std::string& context) {
@@ -74,6 +107,7 @@ void ExpectIndexMatchesSnapshot(const DynamicCommunityIndex& index,
     ASSERT_EQ(*inc_truss, KTrussCommunity(snapshot, q))
         << context << " ktruss query " << q;
   }
+  ExpectIndexMatchesOracle(index, snapshot, context);
 }
 
 // Every node whose row differs between two consecutive compactions must be
@@ -639,6 +673,18 @@ TEST(SearcherRegistry, IncrementalBackendsAnswerFromTheIndex) {
   const auto bad = (*kcore_inc)->Search(base, -3, {}, {});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+  // A support example with an out-of-range id.
+  QueryExample bad_support;
+  bad_support.query = 0;
+  bad_support.pos = {base.num_nodes()};
+  const auto kcore = MakeSearcher("kcore");
+  ASSERT_TRUE(kcore.ok()) << kcore.status();
+  for (const auto* searcher :
+       {kcore->get(), kcore_inc->get(), ktruss_inc->get()}) {
+    const auto r = searcher->Search(base, 0, {bad_support}, {});
+    ASSERT_FALSE(r.ok()) << searcher->name();
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << searcher->name();
+  }
 }
 
 }  // namespace

@@ -153,6 +153,23 @@ TEST(FeatTrans, PredictDoesNotCorruptPretrainedWeights) {
   EXPECT_EQ(first, second) << "fine-tuning leaked across PredictTask calls";
 }
 
+TEST(FeatTrans, PredictLeavesNoGradientBehind) {
+  // Fine-tuning backpropagates through every layer but steps only the
+  // last one; the frozen layers' gradients must not pile up across calls.
+  const TaskSplit split = SmallSplit();
+  FeatTransCs method(FastConfig());
+  method.MetaTrain(split.train);
+  for (int call = 1; call <= 3; ++call) {
+    (void)method.PredictTask(split.test.front());
+    const std::vector<Tensor> params = method.model()->Parameters();
+    for (size_t i = 0; i < params.size(); ++i) {
+      for (const float grad : params[i].grad()) {
+        ASSERT_EQ(grad, 0.0f) << "parameter " << i << " after call " << call;
+      }
+    }
+  }
+}
+
 TEST(Maml, ContractAndAdaptationIsTemporary) {
   const TaskSplit split = SmallSplit();
   MethodConfig cfg = FastConfig();

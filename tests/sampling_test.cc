@@ -45,17 +45,6 @@ TEST(BfsSample, StopsAtComponentBoundary) {
   EXPECT_EQ(nodes.size(), 3u);  // component of 0 is {0,1,2}
 }
 
-TEST(BfsSampleWithRestarts, CoversOtherComponents) {
-  GraphBuilder b(6);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(4, 5);
-  Graph g = b.Build();
-  Rng rng(4);
-  const auto nodes = BfsSampleWithRestarts(g, 0, 6, &rng);
-  EXPECT_EQ(nodes.size(), 6u);
-}
-
 TEST(BfsSample, DifferentRngsGiveDifferentSamples) {
   Rng gen_rng(5);
   SyntheticConfig cfg;
@@ -130,24 +119,6 @@ TEST(BfsSample, MatchesReferenceOnPlantedGraph) {
         << "query " << i;
   }
   EXPECT_EQ(a.NextU64(), b.NextU64());
-}
-
-TEST(BfsSampleWithRestarts, MatchesReferenceOrderAndRngState) {
-  for (uint64_t gseed = 1; gseed <= 6; ++gseed) {
-    testing::RandomGraphSpec spec;
-    spec.n = 120;
-    spec.edges = 70;  // many small components: restarts happen
-    spec.isolated_from = 110;
-    const Graph g = testing::RandomGraph(spec, gseed);
-    for (int64_t max_nodes : {int64_t{1}, int64_t{30}, int64_t{90},
-                              int64_t{120}, int64_t{500}}) {
-      Rng a(gseed), b(gseed);
-      ASSERT_EQ(BfsSampleWithRestarts(g, 3, max_nodes, &a),
-                oracle::BfsSampleWithRestarts(g, 3, max_nodes, &b))
-          << "graph " << gseed << " max_nodes " << max_nodes;
-      ASSERT_EQ(a.NextU64(), b.NextU64());
-    }
-  }
 }
 
 }  // namespace

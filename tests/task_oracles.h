@@ -70,32 +70,6 @@ inline std::vector<NodeId> BfsSample(const Graph& g, NodeId seed,
   return out;
 }
 
-inline std::vector<NodeId> BfsSampleWithRestarts(const Graph& g, NodeId seed,
-                                                 int64_t max_nodes, Rng* rng) {
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> out;
-  NodeId start = seed;
-  while (static_cast<int64_t>(out.size()) < max_nodes) {
-    if (seen[start]) {
-      NodeId candidate = -1;
-      for (int attempts = 0; attempts < 32; ++attempts) {
-        const NodeId r = NextInt(rng, g.num_nodes());
-        if (!seen[r]) {
-          candidate = r;
-          break;
-        }
-      }
-      for (NodeId v = 0; v < g.num_nodes() && candidate == -1; ++v) {
-        if (!seen[v]) candidate = v;
-      }
-      if (candidate == -1) break;
-      start = candidate;
-    }
-    BfsFrom(g, start, max_nodes, rng, &seen, &out);
-  }
-  return out;
-}
-
 inline Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
                              std::vector<NodeId>* new_of_old = nullptr) {
   std::vector<NodeId> map(g.num_nodes(), -1);
