@@ -10,11 +10,15 @@
 #include "bench/gbench_export.h"
 #include "common/check.h"
 #include "common/parallel.h"
+#include "data/synthetic.h"
 #include "graph/graph.h"
+#include "graph/sampling.h"
+#include "nn/gat_conv.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
 #include "tensor/simd.h"
+#include "tensor/workspace.h"
 
 namespace cgnp {
 namespace {
@@ -86,6 +90,56 @@ void BM_SegmentSoftmax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentSoftmax)->Arg(1000)->Arg(10000);
+
+// A BFS task of `nodes` nodes from a graph shaped like the serving
+// benchmark's (5,000 nodes, 25 planted communities, intra degree 12,
+// inter 1.5): the graph one cgnp cache miss encodes.
+Graph GatTaskGraph(int64_t nodes) {
+  Rng rng(11);
+  SyntheticConfig cfg;
+  cfg.num_nodes = 5000;
+  cfg.num_communities = 25;
+  cfg.intra_degree = 12;
+  cfg.inter_degree = 1.5;
+  const Graph g = GenerateSyntheticGraph(cfg, &rng);
+  return InducedSubgraph(g, BfsSample(g, 0, nodes, &rng));
+}
+
+// One GAT layer (hidden 32 -> 32, the encoder's width) on a 200-node
+// task, as a cache miss runs it: no tape, intermediates in the arena.
+void BM_GatLayer(benchmark::State& state) {
+  const Graph g = GatTaskGraph(state.range(0));
+  Rng rng(17);
+  GatConv conv(32, 32, &rng);
+  const Tensor x = Tensor::Randn({g.num_nodes(), 32}, &rng);
+  const int64_t m = static_cast<int64_t>(g.AttentionEdges().src.size());
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    WorkspaceScope workspace;
+    benchmark::DoNotOptimize(conv.Forward(g, x).data());
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_GatLayer)->Arg(200);
+
+// The same layer forward and backward, as a training step runs it (the
+// input requires grad, as every layer after the first sees).
+void BM_GatLayerBackward(benchmark::State& state) {
+  const Graph g = GatTaskGraph(state.range(0));
+  Rng rng(17);
+  GatConv conv(32, 32, &rng);
+  Tensor x = Tensor::Randn({g.num_nodes(), 32}, &rng, 1.0f,
+                           /*requires_grad=*/true);
+  const int64_t m = static_cast<int64_t>(g.AttentionEdges().src.size());
+  for (auto _ : state) {
+    Tensor loss = Sum(conv.Forward(g, x));
+    loss.Backward();
+    conv.ZeroGrad();
+    x.ZeroGrad();
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_GatLayerBackward)->Arg(200);
 
 // The large synthetic graph of docs/BENCHMARKS.md: 20k nodes, ~16 directed
 // random edges per node, 64-dim features -- big enough that one SpMM is

@@ -140,7 +140,7 @@ bool IsSearcherRegistered(const std::string& name);
 
 // Shared range validation for a query and its support observations
 // against `g` -- the single source of truth used by the classical
-// adapters and by BuildQueryTask (core/engine.cc), so every backend
+// adapters and by BuildQueryTask (core/engine_query.cc), so every backend
 // rejects the same malformed request the same way: InvalidArgument for
 // an empty graph, OutOfRange for node ids outside [0, num_nodes).
 Status ValidateQueryInput(const Graph& g, NodeId query,

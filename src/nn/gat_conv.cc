@@ -1,5 +1,6 @@
 #include "nn/gat_conv.h"
 
+#include "tensor/gat_aggregate.h"
 #include "tensor/ops.h"
 
 namespace cgnp {
@@ -14,23 +15,16 @@ GatConv::GatConv(int64_t in_dim, int64_t out_dim, Rng* rng,
 }
 
 Tensor GatConv::Forward(const Graph& g, const Tensor& x) const {
-  // Every op below is segment- or row-parallel (common/parallel.h): the
-  // projections chunk over output rows, SegmentSoftmax / SegmentSumRows over
-  // destination segments. Results are bitwise-deterministic per thread count
-  // at any SIMD dispatch level (docs/KERNELS.md): the projections hit the
-  // GEMM axpy/dot kernels, SegmentSoftmax the max/exp_sum/scale kernels,
-  // and the {m,out}x{m,1} attention weighting the per-row scale kernel.
-  // Under a WorkspaceScope (the serve path) every intermediate here is
-  // arena-allocated and freed wholesale at end of query.
+  // The projection, then one fused op that scores, normalises and
+  // aggregates each destination's in-edges (tensor/gat_aggregate.h), in
+  // training and serving alike. Bitwise deterministic per thread count at
+  // any SIMD level (docs/KERNELS.md); under a WorkspaceScope (the serve
+  // path) every intermediate is arena-allocated.
   const Graph::EdgeIndex& ei = g.AttentionEdges();
-  Tensor h = MatMul(x, weight_);                     // {n, out}
-  Tensor s_src = MatMul(h, attn_src_);               // {n, 1}
-  Tensor s_dst = MatMul(h, attn_dst_);               // {n, 1}
-  // Per-edge raw attention scores, grouped by destination segment.
-  Tensor e = Add(IndexSelectRows(s_dst, ei.dst), IndexSelectRows(s_src, ei.src));
-  Tensor alpha = SegmentSoftmax(LeakyRelu(e, negative_slope_), ei.seg_ptr);
-  Tensor messages = Mul(IndexSelectRows(h, ei.src), alpha);  // {m, out}*{m, 1}
-  return Add(SegmentSumRows(messages, ei.seg_ptr), bias_);
+  Tensor h = MatMul(x, weight_);  // {n, out}
+  return Add(GatAggregate(h, attn_src_, attn_dst_, ei.src, ei.seg_ptr,
+                          negative_slope_),
+             bias_);
 }
 
 }  // namespace cgnp

@@ -97,10 +97,37 @@ void GemmRowScalar(int64_t n, int64_t k, const float* a_row, const float* b,
   }
 }
 
+// gather_scale_add promises a rounded product before every add. GCC
+// contracts a multiply and an add into an FMA by default wherever the
+// target has one (AArch64, or x86 with an fma target), so the kernels
+// that make that promise turn contraction off.
+#if defined(__clang__)
+#define CGNP_NO_FP_CONTRACT
+#define CGNP_NO_FP_CONTRACT_BODY _Pragma("clang fp contract(off)")
+#elif defined(__GNUC__)
+#define CGNP_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#define CGNP_NO_FP_CONTRACT_BODY
+#else
+#define CGNP_NO_FP_CONTRACT
+#define CGNP_NO_FP_CONTRACT_BODY
+#endif
+
+CGNP_NO_FP_CONTRACT void GatherScaleAddScalar(int64_t n, int64_t count,
+                                              const int64_t* idx,
+                                              const float* w, const float* x,
+                                              float* o) {
+  CGNP_NO_FP_CONTRACT_BODY
+  for (int64_t e = 0; e < count; ++e) {
+    const float* xr = x + idx[e] * n;
+    const float we = w[e];
+    for (int64_t j = 0; j < n; ++j) o[j] += we * xr[j];
+  }
+}
+
 constexpr SimdKernels kScalarKernels = {
     AxpyScalar, DotScalar,   AddScalarK,      SubScalarK, MulScalarK,
     DivScalarK, ScaleScalar, ReluScalar,      LeakyReluScalar,
-    MaxScalar,  ExpSumScalar, GemmRowScalar,
+    MaxScalar,  ExpSumScalar, GemmRowScalar,  GatherScaleAddScalar,
 };
 
 // --- AVX2 + FMA kernels -----------------------------------------------------
@@ -308,10 +335,52 @@ CGNP_AVX2 void GemmRowAvx2(int64_t n, int64_t k, const float* a_row,
   }
 }
 
+// AVX2 without FMA, so no multiply-add can be fused (see the scalar
+// kernel). Each 32-column tile of o stays in four ymm accumulators
+// across all `count` rows; per element the order is ascending e with one
+// rounded multiply and one add each, the scalar kernel's order.
+__attribute__((target("avx2"))) CGNP_NO_FP_CONTRACT void GatherScaleAddAvx2(
+    int64_t n, int64_t count, const int64_t* idx, const float* w,
+    const float* x, float* o) {
+  CGNP_NO_FP_CONTRACT_BODY
+  int64_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m256 o0 = _mm256_loadu_ps(o + j);
+    __m256 o1 = _mm256_loadu_ps(o + j + 8);
+    __m256 o2 = _mm256_loadu_ps(o + j + 16);
+    __m256 o3 = _mm256_loadu_ps(o + j + 24);
+    for (int64_t e = 0; e < count; ++e) {
+      const float* xr = x + idx[e] * n + j;
+      const __m256 vw = _mm256_set1_ps(w[e]);
+      o0 = _mm256_add_ps(o0, _mm256_mul_ps(vw, _mm256_loadu_ps(xr)));
+      o1 = _mm256_add_ps(o1, _mm256_mul_ps(vw, _mm256_loadu_ps(xr + 8)));
+      o2 = _mm256_add_ps(o2, _mm256_mul_ps(vw, _mm256_loadu_ps(xr + 16)));
+      o3 = _mm256_add_ps(o3, _mm256_mul_ps(vw, _mm256_loadu_ps(xr + 24)));
+    }
+    _mm256_storeu_ps(o + j, o0);
+    _mm256_storeu_ps(o + j + 8, o1);
+    _mm256_storeu_ps(o + j + 16, o2);
+    _mm256_storeu_ps(o + j + 24, o3);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 o0 = _mm256_loadu_ps(o + j);
+    for (int64_t e = 0; e < count; ++e) {
+      o0 = _mm256_add_ps(o0, _mm256_mul_ps(_mm256_set1_ps(w[e]),
+                                           _mm256_loadu_ps(x + idx[e] * n + j)));
+    }
+    _mm256_storeu_ps(o + j, o0);
+  }
+  for (; j < n; ++j) {
+    float s = o[j];
+    for (int64_t e = 0; e < count; ++e) s += w[e] * x[idx[e] * n + j];
+    o[j] = s;
+  }
+}
+
 constexpr SimdKernels kAvx2Kernels = {
     AxpyAvx2, DotAvx2,   AddAvx2,      SubAvx2, MulAvx2,
     DivAvx2,  ScaleAvx2, ReluAvx2,     LeakyReluAvx2,
-    MaxAvx2,  ExpSumAvx2, GemmRowAvx2,
+    MaxAvx2,  ExpSumAvx2, GemmRowAvx2, GatherScaleAddAvx2,
 };
 
 #undef CGNP_AVX2
@@ -459,6 +528,9 @@ constexpr SimdKernels kNeonKernels = {
     // still vectorize and exp_sum stays scalar-exact.
     ExpSumScalar,
     GemmRowNeon,
+    // No NEON register-tiled version yet: the scalar multiply-then-add
+    // loop keeps the level exact.
+    GatherScaleAddScalar,
 };
 
 #endif  // CGNP_SIMD_NEON

@@ -14,7 +14,8 @@
 //     (common/parallel.h) and each kernel call covers a whole row/chunk
 //     with a fixed accumulation order.
 //   * Across levels, pure elementwise IEEE-754 ops (add/sub/mul/div,
-//     relu/leaky_relu, scale, max) are bitwise identical to scalar.
+//     relu/leaky_relu, scale, max, and gather_scale_add, which multiplies
+//     then adds) are bitwise identical to scalar.
 //     Reductions and fused multiply-adds (dot, axpy, exp_sum) may differ
 //     from scalar -- FMA fuses the intermediate rounding and exp_sum uses
 //     a polynomial exp -- within ~1e-6 relative accuracy. tests/simd_test.cc
@@ -95,6 +96,14 @@ struct SimdKernels {
   // where the GEMM speedup over scalar comes from.
   void (*gemm_row)(int64_t n, int64_t k, const float* a_row, const float* b,
                    float* c);
+  // o[j] += w[e] * x[idx[e] * n + j] for e = 0 .. count-1 in that order:
+  // a weighted sum of gathered rows of x (n floats each) into one row.
+  // Every product is rounded before its add -- never fused, at any level
+  // -- so the result is bitwise the per-row scale kernel into a temporary
+  // followed by an add, at every level. The AVX2 level keeps o in
+  // register tiles across the whole e loop.
+  void (*gather_scale_add)(int64_t n, int64_t count, const int64_t* idx,
+                           const float* w, const float* x, float* o);
 };
 
 // Function-pointer aliases for ops that take an optional vector kernel.

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "gtest/gtest.h"
+#include "tensor/gat_aggregate.h"
 #include "tensor/ops.h"
 #include "tests/test_util.h"
 
@@ -234,6 +235,23 @@ TEST(Autograd, SegmentSoftmaxAndSum) {
   };
   CheckGradient(scores, f);
   CheckGradient(vals, f);
+}
+
+TEST(Autograd, GatAggregate) {
+  Rng rng(24);
+  // In-edges per destination: three, none, one, two.
+  const std::vector<int64_t> seg_ptr = {0, 3, 3, 4, 6};
+  const std::vector<int64_t> src = {0, 1, 3, 2, 1, 3};
+  Tensor h = MakeInput(&rng, {4, 3});
+  Tensor attn_src = MakeInput(&rng, {3, 1});
+  Tensor attn_dst = MakeInput(&rng, {3, 1});
+  auto f = [&] {
+    Tensor y = GatAggregate(h, attn_src, attn_dst, src, seg_ptr, 0.2f);
+    return Sum(Mul(y, y));
+  };
+  CheckGradient(h, f);
+  CheckGradient(attn_src, f);
+  CheckGradient(attn_dst, f);
 }
 
 TEST(Autograd, BceWithLogits) {

@@ -1,11 +1,8 @@
 #include "cs/dynamic.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,24 +19,8 @@
 #include "obs/metrics.h"
 #include "tensor/rng.h"
 #include "tests/classical_oracles.h"
+#include "tests/heap_counter.h"
 #include "tests/test_util.h"
-
-// Global operator new, counting calls while g_count_news is set: the
-// heap probe of DynamicCommunityIndex.WarmEditsAllocateNothing.
-namespace {
-std::atomic<bool> g_count_news{false};
-std::atomic<int64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cgnp {
 namespace {
@@ -594,13 +575,13 @@ TEST(DynamicCommunityIndex, WarmEditsAllocateNothing) {
     return del.ok() && ins.ok();
   };
   ASSERT_TRUE(round());  // warm-up: rows and scratch reach their sizes
-  g_news = 0;
-  g_count_news = true;
+  testing::StartCountingNews();
   bool ok = true;
   for (int i = 0; i < 100; ++i) ok = round() && ok;
-  g_count_news = false;
+  testing::StopCountingNews();
   ASSERT_TRUE(ok);
-  EXPECT_EQ(g_news.load(), 0) << "heap allocations over 100 warm rounds";
+  EXPECT_EQ(testing::CountedNews(), 0)
+      << "heap allocations over 100 warm rounds";
   ExpectIndexMatchesSnapshot(idx, base, "after warm rounds");
 }
 

@@ -5,7 +5,8 @@
 // lanes -- then checks the two halves of the determinism contract:
 //
 //   * pure elementwise lane ops (add/sub/mul/div/scale/relu/leaky_relu,
-//     max) are BITWISE identical to scalar at every level;
+//     max, and gather_scale_add, a scale then an add per row) are BITWISE
+//     identical to scalar at every level;
 //   * FMA reductions and the polynomial exp (dot, axpy, exp_sum) match
 //     scalar within a small relative tolerance, and full tensor ops run
 //     at a forced level are bitwise-identical across thread counts.
@@ -16,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +146,39 @@ TEST(SimdParity, ElementwiseBitwiseEqualToScalarAtEveryLevel) {
       if (n >= 1) {
         EXPECT_EQ(S.max(n, a.data()), V.max(n, a.data())) << "max";
       }
+    }
+  }
+}
+
+// gather_scale_add is, bit for bit, one scale into a temporary and one add
+// per gathered row, in row order (no fused multiply-add), at every level.
+TEST(SimdParity, GatherScaleAddIsScaleThenAddAtEveryLevel) {
+  Rng rng(13);
+  const std::vector<int64_t> idx = {3, 0, 6, 3, 1};
+  const int64_t count = static_cast<int64_t>(idx.size());
+  for (SimdLevel level : simd::AvailableSimdLevels()) {
+    const SimdKernels& V = simd::KernelsFor(level);
+    for (int64_t n : kSizes) {
+      SCOPED_TRACE(std::string(simd::SimdLevelName(level)) +
+                   " n=" + std::to_string(n));
+      const std::vector<float> x = RandomVec(7 * n, &rng);
+      const std::vector<float> w = RandomVec(count, &rng);
+      const std::vector<float> o = RandomVec(n, &rng);
+      std::vector<float> want = o, tmp(static_cast<size_t>(n));
+      for (int64_t e = 0; e < count; ++e) {
+        V.scale(n, x.data() + idx[e] * n, w[e], tmp.data());
+        V.add(n, want.data(), tmp.data(), want.data());
+      }
+      std::vector<float> got = o;
+      V.gather_scale_add(n, count, idx.data(), w.data(), x.data(), got.data());
+      if (n > 0) {  // memcmp takes no null pointer, even for 0 bytes
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+                  0);
+      }
+      std::vector<float> untouched = o;
+      V.gather_scale_add(n, 0, idx.data(), w.data(), x.data(),
+                         untouched.data());
+      EXPECT_EQ(untouched, o) << "count 0";
     }
   }
 }

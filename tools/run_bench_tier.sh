@@ -67,13 +67,15 @@ run BENCH_dynamic_graph.json       "$BUILD_DIR/bench_dynamic_graph" --seed="$SEE
 # ThreadSweep|SimdSweep filter keeps the run short while still exercising
 # the parallel kernels at 1-8 threads and every SIMD dispatch level
 # available on this host (forced-scalar baseline first; tensor/simd.h).
+# BM_GatLayer (forward) and BM_GatLayerBackward time one GAT encoder
+# layer on a 200-node task, the encode step of a cgnp cache miss.
 # Every report records the active dispatch level in its host block, so
 # bench_compare can flag cross-level comparisons.
 for micro in bench_micro_tensor bench_micro_graph; do
   if [ -x "$BUILD_DIR/$micro" ]; then
     suite=${micro#bench_}
-    echo "=== $BUILD_DIR/$micro --benchmark_filter='ThreadSweep|SimdSweep'"
-    "$BUILD_DIR/$micro" --benchmark_filter='ThreadSweep|SimdSweep' \
+    echo "=== $BUILD_DIR/$micro --benchmark_filter='ThreadSweep|SimdSweep|GatLayer'"
+    "$BUILD_DIR/$micro" --benchmark_filter='ThreadSweep|SimdSweep|GatLayer' \
       --json="$OUT_DIR/BENCH_$suite.json"
   else
     echo "=== skipping $micro (not built; Google Benchmark missing)"
